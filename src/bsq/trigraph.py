@@ -3,9 +3,14 @@
 A genus-g pattern has 2g-2 vertices and 3g-3 edges, every vertex trivalent
 with loops counting twice.  Graphs are represented by an explicit edge list;
 each edge keeps a stable index given by its position in the list.  Isomorphism
-and deduplication go through a canonical form: the minimum over vertex
-permutations of the (loop-count, adjacency-multiplicity) matrix encoding.
-Exactness over speed; intended for desk scale (g <= 5).
+goes through a canonical form: the minimum over vertex permutations of the
+(loop-count, adjacency-multiplicity) matrix encoding.  The census builds each
+class once, directly as its canonical matrix (orderly generation).
+
+Measured range: `bsq graphs --genus g` on one core of an Intel Xeon under
+Python 3.11, start-up of about 0.2 s included, takes 0.2 s at g = 4
+(17 classes), 0.6 s at g = 5 (71) and 21 s at g = 6 (388).  One run of
+`generate_trivalent(7)` took 31 min (2,592 classes).
 """
 
 from __future__ import annotations
@@ -79,37 +84,49 @@ def _matrix(graph: TrivalentGraph):
     return mat
 
 
-def _canonical_key(mat, n):
-    """Minimum over vertex permutations of the bordered matrix encoding.
+def _least_key(mat, n, bound=None):
+    """Least bordered key over the orderings of vertices 0..n-1.
 
-    The permutation p is built one vertex at a time; placing p[r] appends
-    the border (loops[p_r], mat[p_r][p_0], ..., mat[p_r][p_{r-1}]), so the
-    key is decided prefix by prefix and dominated branches are cut early.
+    The ordering p is built one vertex at a time; placing p[r] appends the
+    border (loops[p_r], mat[p_r][p_0], ..., mat[p_r][p_{r-1}]), so the key is
+    decided prefix by prefix and branches above the best key so far are cut
+    early.  With a bound, the search stops as soon as a prefix falls strictly
+    below it and returns that prefix, which every completion keeps below the
+    bound; it returns None if no ordering gets below the bound.
     """
-    best = None
+    bounded = bound is not None
+    best = bound
 
     def extend(perm, used, key):
         nonlocal best
-        r = len(perm)
-        if r == n:
+        if len(perm) == n:
             if best is None or key < best:
                 best = key
-            return
+            return False
+        end = len(key) + len(perm) + 1
         for v in range(n):
-            if used & (1 << v):
+            if used >> v & 1:
                 continue
-            border = (mat[v][v],) + tuple(mat[v][p] for p in perm)
-            cand = key + border
-            if best is not None and cand > best[: len(cand)]:
-                continue
-            extend(perm + [v], used | (1 << v), cand)
+            row = mat[v]
+            cand = key + (row[v], *[row[p] for p in perm])
+            if best is not None:
+                head = best[:end]
+                if cand > head:
+                    continue
+                if bounded and cand < head:
+                    best = cand
+                    return True
+            if extend(perm + (v,), used | 1 << v, cand):
+                return True
+        return False
 
-    extend([], 0, ())
-    return best
+    extend((), 0, ())
+    return None if best is bound else best
 
 
 def canonical_key(graph: TrivalentGraph) -> tuple:
-    return _canonical_key(_matrix(graph), graph.vertex_count)
+    """Minimum over vertex permutations of the bordered matrix encoding."""
+    return _least_key(_matrix(graph), graph.vertex_count)
 
 
 def _graph_from_key(key, n) -> TrivalentGraph:
@@ -132,33 +149,57 @@ def _graph_from_key(key, n) -> TrivalentGraph:
 def generate_trivalent(g: int) -> list[TrivalentGraph]:
     """All connected trivalent multigraphs on 2g-2 vertices, one per class.
 
+    Orderly generation: the matrix is filled row by row, and row v's border
+    (its loop count, then its multiplicities to rows 0..v-1) is fixed once
+    its diagonal cell is placed.  A branch is cut there if some ordering of
+    vertices 0..v gives a smaller bordered prefix, since no completion of it
+    can then be canonical.  A complete matrix that survives is its own
+    canonical key, so each class is met exactly once.
+
+    Two cheaper cuts of the same kind look at the later vertices, whose loop
+    counts are still open.  Put in row v's place, a later vertex must not
+    border below row v even with the most loops it can still take.  And two
+    later vertices known to get equal loop counts must keep their columns,
+    as far as they are filled, in increasing order.
+
     Deterministic: returned in lexicographic canonical-key order.
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"genus must be an integer >= 2, got {g!r}")
     n = 2 * g - 2
-    keys = set()
+    keys = []
     mat = [[0] * n for _ in range(n)]
     deg = [0] * n
 
-    def place(v, w):
-        # fill cells of row v from column w upward; diagonal cell = loops
+    def place(v, w, key):
+        # fill cells of row v from column w upward; diagonal cell = loops;
+        # key is the bordered encoding of rows 0..v-1, and of row v past w = v
         if v == n:
             if _connected_mat(mat, n):
-                keys.add(_canonical_key(mat, n))
+                keys.append(key)
             return
         if w == n:
             if deg[v] == 3:
-                place(v + 1, v + 1)
+                place(v + 1, v + 1, key)
             return
         room_here = 3 - deg[v]
         if w == v:
             # a loop eats 2 of the 3 slots, so at most one
             for loops in range(0, room_here // 2 + 1):
                 mat[v][v] = loops
-                deg[v] += 2 * loops
-                place(v, w + 1)
-                deg[v] -= 2 * loops
+                border = (loops,) + tuple(mat[v][:v])
+                # cut if a later vertex u, put in row v's place with the
+                # most loops it can still take, borders below row v
+                if any(
+                    ((3 - deg[u]) // 2,) + tuple(mat[u][:v]) < border
+                    for u in range(v + 1, n)
+                ):
+                    continue
+                prefix = key + border
+                if _least_key(mat, v + 1, bound=prefix) is None:
+                    deg[v] += 2 * loops
+                    place(v, w + 1, prefix)
+                    deg[v] -= 2 * loops
             mat[v][v] = 0
         else:
             top = min(room_here, 3 - deg[w])
@@ -166,12 +207,21 @@ def generate_trivalent(g: int) -> list[TrivalentGraph]:
                 mat[v][w] = mat[w][v] = m
                 deg[v] += m
                 deg[w] += m
-                place(v, w + 1)
+                # rows w-1 and w get equal loop counts if row v has a loop
+                # (loop counts never decrease down the rows) or if a vertex
+                # from w on has no room left for one; their columns must
+                # then stay in increasing order
+                if not (
+                    w > v + 1
+                    and (mat[v][v] or any(deg[u] >= 2 for u in range(w, n)))
+                    and mat[w - 1][: v + 1] > mat[w][: v + 1]
+                ):
+                    place(v, w + 1, key)
                 deg[v] -= m
                 deg[w] -= m
             mat[v][w] = mat[w][v] = 0
 
-    place(0, 0)
+    place(0, 0, ())
     return [_graph_from_key(key, n) for key in sorted(keys)]
 
 

@@ -1,3 +1,9 @@
+import json
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bsq.trigraph import (
@@ -5,11 +11,16 @@ from bsq.trigraph import (
     THETA_GRAPH,
     TrivalentGraph,
     bridges,
+    canonical_key,
     generate_trivalent,
     graph_to_text,
     is_isomorphic,
     parse_graph_text,
 )
+
+# The graphs lists of `bsq graphs --genus 2/3/4` as the walk-then-canonicalise
+# generator printed them: every class, its edge order, bridges and text.
+GOLDEN = Path(__file__).parent / "data" / "trivalent_classes.json"
 
 
 def relabel(graph, perm):
@@ -57,6 +68,21 @@ def test_classes_pairwise_nonisomorphic(g):
             assert not is_isomorphic(g1, g2), f"{g1.edges} ~ {g2.edges}"
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_classes_match_the_committed_census(g):
+    golden = json.loads(GOLDEN.read_text())[str(g)]
+    found = [
+        {
+            "bridges": sorted(bridges(graph)),
+            "edges": [list(e) for e in graph.edges],
+            "text": graph_to_text(graph),
+            "vertex_count": graph.vertex_count,
+        }
+        for graph in generate_trivalent(g)
+    ]
+    assert found == golden
+
+
 def test_generation_is_deterministic():
     first = generate_trivalent(3)
     second = generate_trivalent(3)
@@ -69,6 +95,28 @@ def test_isomorphism_ignores_labels():
     for graph in generate_trivalent(3):
         shuffled = relabel(graph, [2, 0, 3, 1])
         assert is_isomorphic(graph, shuffled)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_genus4_classes_keep_their_key(seed):
+    rng = random.Random(seed)
+    graphs = generate_trivalent(4)
+    for graph in graphs:
+        perm = list(range(graph.vertex_count))
+        rng.shuffle(perm)
+        edges = list(relabel(graph, perm).edges)
+        rng.shuffle(edges)
+        shuffled = TrivalentGraph(graph.vertex_count, tuple(edges))
+        assert canonical_key(shuffled) == canonical_key(graph)
+        assert [is_isomorphic(shuffled, other) for other in graphs] == [
+            other is graph for other in graphs
+        ]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_classes_come_in_increasing_canonical_key_order(g):
+    keys = [canonical_key(graph) for graph in generate_trivalent(g)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_theta_is_not_dumbbell():
@@ -124,6 +172,12 @@ def test_text_format_allows_comments_and_blanks():
 def test_text_format_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_graph_text(text)
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is a test oracle only, never a runtime dependency
+    code = "import sys, bsq; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_rejects_wrong_degrees():
