@@ -2,8 +2,9 @@
 
 Level-k theta functions span a k-dimensional space; evaluating each basis
 function at the k rational points j/k gives a square matrix whose
-invertibility realizes those points as an honest basis.  At tau = i the
-matrix is a discrete Fourier transform in disguise.
+invertibility realizes those points as an honest basis.  At every tau the
+matrix is a discrete Fourier transform with its rows scaled by the
+theta-nulls, so its singular values are sqrt(k) times their moduli.
 """
 
 import cmath

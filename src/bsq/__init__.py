@@ -33,7 +33,6 @@ from .trigraph import (
     parse_graph_text,
 )
 from .ucurve import (
-    NoConvergence,
     SupercyclePoint,
     UCurveSlice,
     branch_residual,
@@ -68,7 +67,6 @@ __all__ = [
     "HalfFormNormalization",
     "IntegralityFailure",
     "ModularParameter",
-    "NoConvergence",
     "ShapeMismatch",
     "SupercyclePoint",
     "THETA_GRAPH",

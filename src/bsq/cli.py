@@ -5,7 +5,8 @@ Each run validates its parameters, then writes exactly one JSON (or CSV)
 document.  Exit codes: 0 success, 1 domain error (JSON error object on
 stderr), 2 usage error (nothing emitted).  Identical configurations produce
 byte-identical output.  The environment variable BSQ_PRECISION overrides the
-Verlinde working precision in bits (default 96).
+Verlinde working precision in bits; without it, verlinde uses the fewest
+bits, at least 96, that certify its dimension, and verify-jw uses 96.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import __version__
 from .theta import TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
-from .verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim
+from .verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
 from .weights import ShapeMismatch, count_admissible, enumerate_admissible
 
 SUBCOMMANDS = ("verlinde", "graphs", "weights", "theta-basis", "ucurve", "verify-jw")
@@ -54,10 +55,10 @@ def _parse_complex(text: str, name: str) -> complex:
     raise UsageError(f"{name} must look like 'RE,IM' or 'RE', got {text!r}")
 
 
-def _precision_from_env() -> int:
+def _precision_from_env(default: int) -> int:
     raw = os.environ.get("BSQ_PRECISION")
     if raw is None:
-        return DEFAULT_PRECISION
+        return default
     try:
         prec = int(raw)
     except ValueError:
@@ -142,10 +143,13 @@ def _cmd_theta_basis(config: RunConfig):
     p = config.parameters
     tau = complex(*p["tau"])
     matrix = bpu_matrix(p["level"], tau=tau, eps=p["eps"], norm=p["norm"])
+    det = mpmath.exp(matrix.log_abs_determinant())
+    # a decimal string where the modulus is not a normal double
+    det_modulus = float(det) if sys.float_info.min <= det <= sys.float_info.max else mpmath.nstr(det, 17)
     body = {
         "entries": [[_complex_json(z) for z in row] for row in matrix.entries.tolist()],
         "smallest_singular_value": matrix.smallest_singular_value(),
-        "det_modulus": abs(matrix.determinant()),
+        "det_modulus": det_modulus,
     }
     return _document(config, body), 0
 
@@ -327,7 +331,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if sc == "verlinde":
         if args.genus < 1:
             raise UsageError(f"--genus must be >= 1, got {args.genus}")
-        p = {"genus": args.genus, "level": args.level, "precision": _precision_from_env()}
+        default = working_precision(args.genus, args.level)
+        p = {"genus": args.genus, "level": args.level, "precision": _precision_from_env(default)}
     elif sc == "graphs":
         if args.genus < 2:
             raise UsageError(f"--genus must be >= 2 for graph generation, got {args.genus}")
@@ -375,7 +380,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             "genus": args.genus,
             "max_level": args.max_level,
             "open_weight_range": bool(args.open_weight_range),
-            "precision": _precision_from_env(),
+            "precision": _precision_from_env(DEFAULT_PRECISION),
         }
 
     return RunConfig(subcommand=sc, parameters=p, output=args.output, format=fmt)

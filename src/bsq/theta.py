@@ -3,10 +3,21 @@
 theta_w(z) = sum_n exp(pi*i*k*tau*(n+w)^2 + 2*pi*i*k*(n+w)*z), summed over a
 symmetric window |n| <= N wide enough that the dropped Gaussian tail is below
 eps relative to the largest retained term.  The k characteristics w = j/k and
-the k fiber points b_j = j/k give a square evaluation matrix whose
-nondegeneracy is checked numerically through its singular values; the
-optional half-form normalization is a single positive scalar in this model.
-Everything here is plain double precision.
+the k fiber points b_l = l/k give a square evaluation matrix with a closed
+structure: since exp(2*pi*i*k*(n + j/k)*l/k) = omega^(j*l) for every n, with
+omega = exp(2*pi*i/k),
+
+    theta_{j/k}(l/k) = c_j * omega^(j*l),    c_j = theta_{j/k}(0),
+
+so M = diag(c) * F with F the k-point DFT matrix.  The matrix is built from
+the k level-k theta-nulls c_j, its singular values are sqrt(k)*|c_j|, and
+|det M| = k^(k/2) * prod |c_j|.  No c_j vanishes: c_j is a nonzero factor
+times the Jacobi theta function theta(j*tau; k*tau), whose zeros are the
+points 1/2 + k*tau/2 + Z + k*tau*Z, and j*tau is never one of them.  So the
+matrix is invertible for every k and tau.  The optional half-form
+normalization is a single positive scalar in this model.  The sums are plain
+double precision; the determinant's modulus is also given as a logarithm,
+which stays finite where the modulus itself leaves the double range.
 """
 
 from __future__ import annotations
@@ -141,7 +152,7 @@ def theta_value(ch: ThetaCharacteristic, z: complex, tau=1j, eps: float = DEFAUL
 
 @dataclass(frozen=True)
 class ThetaBasisMatrix:
-    """Square evaluation matrix M[w][j] = norm * theta_{w}(b_j)."""
+    """Square evaluation matrix M[j][l] = norm * theta_{j/k}(b_l) = norm * c_j * omega^(j*l)."""
 
     k: int
     entries: np.ndarray = field(repr=False)
@@ -149,26 +160,44 @@ class ThetaBasisMatrix:
     eps: float
     norm_constant: float = 1.0
 
+    @property
+    def nulls(self) -> np.ndarray:
+        """The scaled theta-nulls norm * c_j: column b_0 = 0 of the matrix."""
+        return self.entries[:, 0]
+
     def smallest_singular_value(self) -> float:
-        return float(np.linalg.svd(self.entries, compute_uv=False)[-1])
+        """sqrt(k) * min_j |norm * c_j|, exact because F / sqrt(k) is unitary."""
+        return math.sqrt(self.k) * float(np.abs(self.nulls).min())
+
+    def log_abs_determinant(self) -> float:
+        """Natural log of |det M| = k^(k/2) * prod_j |norm * c_j|, as a sum of logarithms."""
+        return 0.5 * self.k * math.log(self.k) + math.fsum(np.log(np.abs(self.nulls)))
 
     def determinant(self) -> complex:
-        return complex(np.linalg.det(self.entries))
+        """det M = det F * prod_j norm * c_j, with det F = k^(k/2) * i^((k(k-1)/2 + (k-1)^2) mod 4).
+
+        A plain complex number, so it underflows or overflows for large k;
+        log_abs_determinant does not.
+        """
+        k = self.k
+        phase = (1, 1j, -1, -1j)[(k * (k - 1) // 2 + (k - 1) ** 2) % 4]
+        return phase * complex(np.prod(math.sqrt(k) * self.nulls))
 
 
 def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: HalfFormNormalization | float | None = None) -> ThetaBasisMatrix:
     """Evaluate every characteristic at every Bohr-Sommerfeld point.
 
-    Row index = characteristic j/k, column index = point b_j.
+    Row index = characteristic j/k, column index = point b_l.  Only the k
+    theta-nulls c_j are summed, over the window of z = 0, which is the window
+    of every real point; entry (j, l) is then norm * c_j * omega^(j*l).
     """
     tau = _tau_value(tau)
     if norm is None:
         norm = HalfFormNormalization()
     elif not isinstance(norm, HalfFormNormalization):
         norm = HalfFormNormalization(float(norm))
-    points = bs_points(k)
-    entries = np.empty((k, k), dtype=complex)
-    for i, ch in enumerate(characteristics(k)):
-        for j, b in enumerate(points):
-            entries[i, j] = norm.constant * theta_value(ch, complex(float(b), 0.0), tau, eps)
+    nulls = np.array([theta_value(ch, 0j, tau, eps) for ch in characteristics(k)])
+    jl = np.outer(np.arange(k), np.arange(k)) % k
+    dft = np.exp(2j * np.pi * jl / k)
+    entries = norm.constant * (nulls[:, None] * dft)
     return ThetaBasisMatrix(k=k, entries=entries, tau=tau, eps=eps, norm_constant=norm.constant)

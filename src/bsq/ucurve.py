@@ -3,9 +3,14 @@
 A point (b, s) sits on the level-u locus when k*b + u*s is an integer m (the
 branch).  At u = 0 the locus collapses to the k real fiber points b = j/k;
 for u != 0 the tracer samples the one-dimensional slice with s real in a
-window, scanning b over a grid and refining s by bisection on the residual
-|k*b + u*s - m|.  The order-k deck translation b -> b + 1/k (mod 1),
-m -> m + 1 (adjusted on wraparound) permutes every level set.
+window, scanning b over a grid and taking for each branch the real s in the
+window that minimises the residual |k*b + u*s - m|.  The squared residual
+is a convex quadratic in s, so the minimiser is closed-form:
+s* = clip((m - k*b) * Re(u) / |u|^2, s_min, s_max).  For real u it is the
+exact root (m - k*b)/u clipped to the window; for non-real u and small tol
+the slice with real s collapses to s = 0, b = m/k.  The order-k deck translation
+b -> b + 1/k (mod 1), m -> m + 1 (adjusted on wraparound) permutes every
+level set.
 
 b coordinates are kept as exact fractions wherever the model produces them,
 so translation orbits close exactly; the residual functions accept any real b.
@@ -14,16 +19,12 @@ so translation orbits close exactly; the residual functions accept any real b.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-_MAX_BISECTIONS = 200
-
-
-class NoConvergence(UserWarning):
-    """Bisection budget exhausted with the bracket still open; candidate skipped."""
+# Relative size of a band around tol, far wider than the rounding error of the
+# double residual, inside which the on-locus test is decided in rationals.
+_TIE_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,57 +85,42 @@ def zero_level_fiber(k: int) -> UCurveSlice:
     return UCurveSlice(u=0j, points=points)
 
 
-def _minimize_residual(c: float, u: complex, lo: float, hi: float, tol: float):
-    """Minimize |c + u*s| over real s in [lo, hi] by bisection.
+def _minimize_residual(c: float, u: complex, lo: float, hi: float) -> float:
+    """The real s in [lo, hi] that minimises |c + u*s|.
 
-    |c + u*s|^2 is a convex quadratic, so bisection runs on the sign of its
-    derivative.  Returns (s, residual, on_locus, stalled).
+    |c + u*s|^2 = |u|^2 s^2 + 2 c Re(u) s + c^2 is a convex quadratic with its
+    vertex at -c Re(u) / |u|^2, so the minimiser on the interval is that vertex
+    clipped to it.  Adding 0.0 turns a vertex of -0.0 into 0.0.
     """
-    def resid(s):
-        return math.hypot(c + u.real * s, u.imag * s)
+    vertex = -c * u.real / (u.real * u.real + u.imag * u.imag)
+    return min(max(vertex, lo), hi) + 0.0
 
-    def deriv(s):
-        return (u.real * u.real + u.imag * u.imag) * s + c * u.real
 
-    if deriv(lo) >= 0.0:
-        r = resid(lo)
-        return lo, r, r < tol, False
-    if deriv(hi) <= 0.0:
-        r = resid(hi)
-        return hi, r, r < tol, False
-    a, b = lo, hi
-    exhausted = True
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (a + b)
-        if resid(mid) < tol:
-            return mid, resid(mid), True, False
-        d = deriv(mid)
-        if d > 0.0:
-            b = mid
-        elif d < 0.0:
-            a = mid
-        else:
-            exhausted = False
-            break
-        if b - a <= 4.0 * sys.float_info.epsilon * max(1.0, abs(a), abs(b)):
-            # bracket at machine resolution, nothing left to split
-            exhausted = False
-            break
-    mid = 0.5 * (a + b)
-    r = resid(mid)
-    return mid, r, r < tol, exhausted and r >= tol
+def _exact_residual_below(c: Fraction, u: complex, lo: float, hi: float, tol: float) -> bool:
+    """Whether min over s in [lo, hi] of |c + u*s| is below tol, in rationals.
+
+    u, lo, hi and tol are taken at their binary values.
+    """
+    ur, ui = Fraction(u.real), Fraction(u.imag)
+    s = min(max(-c * ur / (ur * ur + ui * ui), Fraction(lo)), Fraction(hi))
+    return (c + ur * s) ** 2 + (ui * s) ** 2 < Fraction(tol) ** 2
 
 
 def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, tol: float) -> UCurveSlice:
     """Sample the level-u locus over b in [0,1) with s real in s_window.
 
-    For every integer branch m reachable in the window, each of the `grid`
-    values b = i/grid is refined in s until |k*b + u*s - m| < tol; candidates
-    whose best residual stays at or above tol are off the locus and dropped.
-    A NoConvergence warning (not an error) flags any candidate whose
-    refinement stalls.  Points closer than 10*tol in both coordinates are
-    deduplicated, keeping smaller b, then smaller |s|; output is sorted by
-    (m, b).
+    For every integer branch m reachable in the window and each of the `grid`
+    values b = i/grid, s is the exact minimiser over the window of
+    |k*b + u*s - m| (see _minimize_residual), and the candidate is on the
+    locus when that smallest residual is below tol.  This test is exact at
+    the binary values of u, s_window and tol: a double residual within
+    rounding distance of tol is decided again in rationals.  For real u the
+    slice thus holds exactly the grid pairs whose root (m - k*b)/u lies in
+    s_window widened by tol/|u|.  Candidates closer than 10*tol in
+    both b and s are deduplicated: sorted by (b, |s|, m), a candidate is
+    dropped when an earlier kept one lies within 10*tol in both coordinates.
+    Since s is the exact minimiser, the output depends only on the
+    arguments.  Output is sorted by (m, b, |s|), with b an exact Fraction.
     """
     _check_level(k)
     u = complex(u)
@@ -149,34 +135,39 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
         raise ValueError(f"tol must be positive, got {tol}")
 
     corners = [k * bb + u.real * s for bb in (0.0, 1.0) for s in (lo, hi)]
+    # candidates as (b, |s|, m, s, i) with b = i / grid, the double nearest to
+    # Fraction(i, grid); the Fraction is made only for the points kept
     candidates = []
     for m in range(math.ceil(min(corners)), math.floor(max(corners)) + 1):
         for i in range(grid):
-            b = Fraction(i, grid)
-            c = k * float(b) - m
-            s, r, on_locus, stalled = _minimize_residual(c, u, lo, hi, tol)
+            c = (k * i - m * grid) / grid
+            s = _minimize_residual(c, u, lo, hi)
+            r = math.hypot(c + u.real * s, u.imag * s)
+            if abs(r - tol) <= _TIE_BAND * (abs(c) + abs(u) * abs(s) + tol):
+                on_locus = _exact_residual_below(Fraction(k * i - m * grid, grid), u, lo, hi, tol)
+            else:
+                on_locus = r < tol
             if on_locus:
-                candidates.append(SupercyclePoint(b=b, s=complex(s, 0.0), u=u, m=m))
-            elif stalled:
-                warnings.warn(
-                    NoConvergence(f"refinement stalled at b={b}, m={m}, residual {r}")
-                )
+                candidates.append((i / grid, abs(s), m, s, i))
 
     # dedup at 10*tol in both coordinates, preferring smaller b then smaller |s|
-    candidates.sort(key=lambda p: (float(p.b), abs(p.s), p.m))
-    kept: list[SupercyclePoint] = []
+    candidates.sort()
+    kept = []
     for p in candidates:
         duplicate = False
         for q in reversed(kept):
-            if float(p.b) - float(q.b) >= 10.0 * tol:
+            if p[0] - q[0] >= 10.0 * tol:
                 break
-            if abs(p.s - q.s) < 10.0 * tol:
+            if abs(p[3] - q[3]) < 10.0 * tol:
                 duplicate = True
                 break
         if not duplicate:
             kept.append(p)
-    kept.sort(key=lambda p: (p.m, float(p.b), abs(p.s)))
-    return UCurveSlice(u=u, points=tuple(kept))
+    kept.sort(key=lambda p: (p[2], p[0], p[1]))
+    points = tuple(
+        SupercyclePoint(b=Fraction(i, grid), s=complex(s, 0.0), u=u, m=m) for _, _, m, s, i in kept
+    )
+    return UCurveSlice(u=u, points=points)
 
 
 def deck_translate(point: SupercyclePoint, k: int) -> SupercyclePoint:

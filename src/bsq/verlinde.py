@@ -4,19 +4,23 @@ The rank of the level-k quantization over a genus-g surface is
 
     dim(g, k) = ((k+2)/2)^(g-1) * sum_{n=1..k+1} sin(n*pi/(k+2))^(-(2g-2))
 
-The sum is evaluated with mpmath at a configurable working precision
-(default 96 bits, never below 64) using Neumaier-compensated summation,
-and an explicit rounding-error budget certifies that the nearest integer
-is the exact value.  If the certificate fails the computation raises
-instead of returning a non-integral answer.  No exact cyclotomic
-arithmetic is attempted here.
+The sum is evaluated with mpmath using Neumaier-compensated summation, and
+an explicit rounding-error budget of (8g + 8) * 2^-prec relative certifies
+that the nearest integer is the exact value.  The working precision prec is
+given by the caller (never below 64 bits) or, by default, chosen before the
+sum from a double-precision estimate of its size: the fewest bits, and at
+least 96, at which the budget certifies.  If the certificate fails the
+computation raises instead of returning a non-integral answer.  No exact
+cyclotomic arithmetic is attempted here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 # Documented aliases: a level is an integer k >= 1, a genus an integer g >= 1.
 QuantizationLevel = int
@@ -24,6 +28,7 @@ Genus = int
 
 DEFAULT_PRECISION = 96
 MIN_PRECISION = 64
+_BLOCK = 1 << 16
 
 
 class IntegralityFailure(ArithmeticError):
@@ -39,18 +44,49 @@ class VerlindeValue:
     error_bound: float
 
 
-def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int = DEFAULT_PRECISION) -> VerlindeValue:
-    """Evaluate the dimension formula and certify integrality.
-
-    prec is the working precision in significand bits.  The returned
-    error_bound is an absolute bound on |raw_sum - exact value| derived
-    from per-operation rounding budgets, so dim = round(raw_sum) is
-    certified whenever error_bound < 0.5.
-    """
+def _check_genus_and_level(g, k):
     if not isinstance(g, int) or g < 1:
         raise ValueError(f"genus must be an integer >= 1, got {g!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"level must be an integer >= 1, got {k!r}")
+
+
+def working_precision(g: Genus, k: QuantizationLevel) -> int:
+    """The fewest bits, at least DEFAULT_PRECISION, at which the budget certifies.
+
+    The certificate needs (8g + 8) * 2^-prec * raw_sum < 0.5.  log2(raw_sum)
+    is estimated in double precision relative to the largest term, the one at
+    n = 1, so the estimate is off by far less than a bit.  The terms are
+    summed in blocks of _BLOCK, which bounds the memory at any level.
+    """
+    _check_genus_and_level(g, k)
+    kk = k + 2
+    expo = 2 * g - 2
+    top = -expo * math.log2(math.sin(math.pi / kk))
+    total = 0.0
+    for start in range(1, k + 2, _BLOCK):
+        n = np.arange(start, min(start + _BLOCK, k + 2))
+        logs = -expo * np.log2(np.sin(np.pi * np.minimum(n, kk - n) / kk))
+        total += float(np.exp2(logs - top).sum())
+    log2_raw = (g - 1) * math.log2(kk / 2) + top + math.log2(total)
+    # the budget equals 0.5 * 2^(need - prec)
+    need = log2_raw + math.log2(8 * g + 8) + 1
+    return max(DEFAULT_PRECISION, math.floor(need) + 1)
+
+
+def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> VerlindeValue:
+    """Evaluate the dimension formula and certify integrality.
+
+    prec is the working precision in significand bits; by default it is
+    working_precision(g, k).  The returned error_bound is an absolute bound
+    on |raw_sum - exact value| derived from per-operation rounding budgets,
+    so dim = round(raw_sum) is certified whenever error_bound < 0.5.  An
+    explicit prec is used as given and raises IntegralityFailure when it is
+    too low.
+    """
+    _check_genus_and_level(g, k)
+    if prec is None:
+        prec = working_precision(g, k)
     if not isinstance(prec, int) or prec < MIN_PRECISION:
         raise ValueError(f"working precision must be an integer >= {MIN_PRECISION} bits, got {prec!r}")
 

@@ -2,10 +2,13 @@
 
 Graphs are raw (vertex_count, edge list) pairs, bridges come from a naive
 remove-and-check scan, and admissible labelings are counted by exhaustive
-filtering with inline condition checks.  Slow on purpose.
+filtering with inline condition checks.  Slow on purpose.  Dimensions at
+larger levels come from the trace of a fusion-rule matrix power.
 """
 
 import itertools
+
+import numpy as np
 
 THETA2 = (2, [(0, 1), (0, 1), (0, 1)])
 DUMBBELL2 = (2, [(0, 0), (0, 1), (1, 1)])
@@ -65,3 +68,16 @@ def oracle_count(n, edges, k, max_numerator=None):
         if good:
             count += 1
     return count
+
+
+def oracle_fusion_dimension(g, k):
+    """dim(g, k) = Tr(H^(g-1)) with H = sum_c N_c^2 over the su(2)_k fusion
+    rules N_abc on numerators 0..k (Verlinde 1988), in Python integers."""
+    a, b, c = np.meshgrid(*[np.arange(k + 1)] * 3, indexing="ij")
+    s = a + b + c
+    fuses = (s % 2 == 0) & (s <= 2 * k) & (2 * np.maximum(np.maximum(a, b), c) <= s)
+    h = np.einsum("acd,bcd->ab", fuses.astype(np.int64), fuses.astype(np.int64)).astype(object)
+    power = np.identity(k + 1, dtype=int).astype(object)
+    for _ in range(g - 1):
+        power = power.dot(h)
+    return int(sum(power.diagonal()))

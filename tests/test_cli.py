@@ -56,6 +56,13 @@ def test_precision_env_rejected(capsys, monkeypatch, value):
     assert "BSQ_PRECISION" in err
 
 
+def test_verlinde_chooses_the_precision_its_certificate_needs(capsys):
+    doc = run_json(capsys, "verlinde", "--genus", "10", "--level", "50")
+    assert doc["parameters"] == {"genus": 10, "level": 50, "precision": 124}
+    assert doc["dim"] == 95479563093686283347680341252594176
+    assert doc["error_bound"] < 0.5
+
+
 def test_verlinde_integrality_failure_is_a_domain_error(capsys, monkeypatch):
     monkeypatch.setenv("BSQ_PRECISION", "64")
     code, out, err = run_cli(capsys, "verlinde", "--genus", "50", "--level", "24")

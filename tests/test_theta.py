@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -217,3 +218,47 @@ def test_truncation_bound_grows_with_imaginary_z():
     far = truncation_bound(ch, 0.0 + 1.0j)
     assert near == pytest.approx(DEFAULT_EPS)
     assert far > near
+
+
+def dense_matrix(k, tau):
+    """Every characteristic summed at every point: the k^2-sum reference."""
+    return np.array(
+        [[theta_value(ch, complex(float(b), 0.0), tau) for b in bs_points(k)] for ch in characteristics(k)]
+    )
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.1j, 0.3 + 1.1j])
+def test_bpu_matrix_equals_dense_evaluation(tau):
+    for k in range(1, 13):
+        dense = 1.7 * dense_matrix(k, tau)
+        m = bpu_matrix(k, tau=tau, norm=1.7)
+        assert np.abs(m.entries - dense).max() <= 1e-13 * np.abs(dense).max(), k
+        # the spectral quantities against dense linear algebra, test-only
+        sigma = np.linalg.svd(dense, compute_uv=False)[-1]
+        det = np.linalg.det(dense)
+        assert math.isclose(m.smallest_singular_value(), sigma, rel_tol=1e-10), k
+        assert abs(m.determinant() - det) <= 1e-10 * abs(det), k
+        assert math.isclose(m.log_abs_determinant(), math.log(abs(det)), rel_tol=0, abs_tol=1e-10), k
+
+
+@pytest.mark.parametrize("k", [64, 96])
+def test_cli_theta_basis_spectrum_at_high_level(capsys, k):
+    # sigma is near 1e-21 to 1e-32 and |det| far below the smallest double,
+    # beyond what a double-precision SVD or determinant resolves
+    from bsq.cli import main
+
+    assert main(["theta-basis", "--level", str(k)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    with mpmath.workprec(120):
+        # theta-nulls summed directly: at tau = i, jtheta's argument here is far
+        # off the real axis and it loses up to 2e-3 relative at 120 bits
+        moduli = [
+            mpmath.fsum(mpmath.exp(-mpmath.pi * k * (n + mpmath.mpf(j) / k) ** 2) for n in range(-4, 5))
+            for j in range(k)
+        ]
+        sigma = mpmath.sqrt(k) * min(moduli)
+        det = mpmath.mpf(k) ** (mpmath.mpf(k) / 2) * mpmath.fprod(moduli)
+        assert abs(mpmath.mpf(doc["smallest_singular_value"]) / sigma - 1) < 1e-6
+        assert isinstance(doc["det_modulus"], str)  # below the double range
+        assert abs(mpmath.mpf(doc["det_modulus"]) / det - 1) < 1e-6
+

@@ -1,10 +1,13 @@
+import itertools
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-import bsq.ucurve
+from bsq.cli import main
 from bsq.ucurve import (
-    NoConvergence,
     SupercyclePoint,
     UCurveSlice,
     branch_residual,
@@ -152,14 +155,82 @@ def test_dedup_keeps_points_separated():
             assert not (close_b and close_s)
 
 
-def test_stalled_refinement_warns_and_skips():
-    original = bsq.ucurve._MAX_BISECTIONS
-    bsq.ucurve._MAX_BISECTIONS = 1
-    try:
-        with pytest.warns(NoConvergence):
-            trace_slice(1, 1 + 0j, (-2.0, 2.0), 4, 1e-9)
-    finally:
-        bsq.ucurve._MAX_BISECTIONS = original
+def exact_minimiser(k, u, window, b, m):
+    """clip((m - k*b) Re(u) / |u|^2, lo, hi) in rationals, at the binary values of u and the window."""
+    ur, ui = Fraction(u.real), Fraction(u.imag)
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    return min(max((m - k * b) * ur / (ur * ur + ui * ui), lo), hi)
+
+
+def exact_root_set(k, u, window, grid, tol):
+    """Grid pairs (b, m) whose root (m - k*b)/u lies in the window widened by tol/|u|, for real u."""
+    ur, t = Fraction(u.real), Fraction(tol)
+    lo, hi = Fraction(window[0]) - t / abs(ur), Fraction(window[1]) + t / abs(ur)
+    out = set()
+    for i in range(grid):
+        b = Fraction(i, grid)
+        ends = sorted((k * b + ur * lo, k * b + ur * hi))
+        out.update((b, m) for m in range(math.floor(ends[0]), math.ceil(ends[1]) + 1)
+                   if lo < (m - k * b) / ur < hi)
+    return out
+
+
+def real_u_configs(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        k = rng.randint(1, 5)
+        u = complex(rng.choice([-1, 1]) * rng.uniform(0.3, 3.0), 0.0)
+        window = (rng.uniform(-2.0, -0.1), rng.uniform(0.1, 2.0))
+        yield k, u, window, rng.randint(50, 400)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_trace_equals_the_exact_root_set_for_real_u(tol):
+    # grid spacing and branch spacing in s both exceed 10*tol, so no
+    # candidate is deduplicated and the slice is the whole exact locus
+    for k, u, window, grid in real_u_configs(20260818, 12):
+        slc = trace_slice(k, u, window, grid, tol)
+        got = [(p.b, p.m) for p in slc.points]
+        assert len(set(got)) == len(got)
+        assert set(got) == exact_root_set(k, u, window, grid, tol), (k, u, window, grid)
+        for p in slc.points:
+            assert p.s.imag == 0.0
+            assert abs(p.s.real - float(exact_minimiser(k, u, window, p.b, p.m))) < 1e-13
+
+
+def dedup_rule(points, tol):
+    """The documented dedup: sorted by (b, |s|, m), drop a point within 10*tol
+    in both b and s of an earlier kept one; output sorted by (m, b, |s|)."""
+    kept = []
+    ordered = sorted(((float(b), s, m, b) for b, s, m in points), key=lambda p: (p[0], abs(p[1]), p[2]))
+    for bf, s, m, b in ordered:
+        # kept points come in increasing b, so only the last few can be near
+        near = itertools.takewhile(lambda q: bf - q[0] < 10 * tol, reversed(kept))
+        if not any(abs(s - qs) < 10 * tol for _, qs, _, _ in near):
+            kept.append((bf, s, m, b))
+    return [(b, s, m) for bf, s, m, b in sorted(kept, key=lambda p: (p[2], p[0], abs(p[1])))]
+
+
+@pytest.mark.parametrize("level, u", [(3, "0.7"), (4, "-1.3")])
+def test_coarse_tolerance_dedups_the_exact_root_set(capsys, level, u):
+    # at tol = 1e-3 the dedup window 10*tol spans several grid points, so the
+    # output is the dedup rule applied to the exact locus, and nothing else
+    argv = ["ucurve", "--level", str(level), "--u", u, "--tol", "1e-3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    doc = json.loads(first)
+    uc, window, grid, tol = complex(float(u), 0.0), (-2.0, 2.0), 1000, 1e-3
+    exact = [
+        (b, float(exact_minimiser(level, uc, window, b, m)), m)
+        for b, m in exact_root_set(level, uc, window, grid, tol)
+    ]
+    want = dedup_rule(exact, tol)
+    assert len(want) < len(exact)
+    assert [(Fraction(p["b_exact"]), p["m"]) for p in doc["points"]] == [(b, m) for b, _, m in want]
+    for p, (_, s, _) in zip(doc["points"], want):
+        assert abs(p["s"][0] - s) < 1e-13 and p["s"][1] == 0.0
 
 
 def test_trace_argument_validation():

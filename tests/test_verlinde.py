@@ -1,8 +1,8 @@
 import pytest
 
-from bsq.verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim
+from bsq.verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
 
-from _oracles import DUMBBELL2, K4, THETA2, oracle_count
+from _oracles import DUMBBELL2, K4, THETA2, oracle_count, oracle_fusion_dimension
 
 
 @pytest.mark.parametrize(
@@ -81,3 +81,28 @@ def test_integrality_failure_when_bound_blows_up():
     # the sum loses integrality, and the call must refuse rather than round
     with pytest.raises(IntegralityFailure):
         verlinde_dim(50, 24, prec=64)
+
+
+def test_default_precision_is_96_exactly_where_96_bits_certify():
+    for g in range(1, 13):
+        for k in (1, 2, 3, 5, 8, 13, 21, 34, 50, 89, 144, 200):
+            try:
+                verlinde_dim(g, k, prec=DEFAULT_PRECISION)
+                certifies = True
+            except IntegralityFailure:
+                certifies = False
+            assert (working_precision(g, k) == DEFAULT_PRECISION) == certifies, (g, k)
+
+
+@pytest.mark.parametrize("g, k, bits", [(10, 50, 124), (6, 200, 102)])
+def test_default_precision_certifies_beyond_96_bits(g, k, bits):
+    with pytest.raises(IntegralityFailure):
+        verlinde_dim(g, k, prec=DEFAULT_PRECISION)  # an explicit precision is used as given
+    assert working_precision(g, k) == bits
+    value = verlinde_dim(g, k)
+    assert value.error_bound < 0.5
+    assert value.dim == verlinde_dim(g, k, prec=2 * bits).dim
+
+
+def test_default_precision_matches_the_fusion_rule_dimension():
+    assert verlinde_dim(10, 50).dim == oracle_fusion_dimension(10, 50)
