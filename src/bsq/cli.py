@@ -21,6 +21,7 @@ from pathlib import Path
 import mpmath
 
 from . import __version__
+from .jsontext import dumps
 from .theta import TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
@@ -98,7 +99,7 @@ def _document(config: RunConfig, body: dict) -> str:
         "parameters": config.parameters,
     }
     doc.update(body)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps(doc) + "\n"
 
 
 def _cmd_verlinde(config: RunConfig):
@@ -139,17 +140,24 @@ def _cmd_weights(config: RunConfig):
     return _document(config, body), 0
 
 
+def _normal_or_decimal(value: float, log_value: float) -> float | str:
+    """value when it is a normal double, else exp(log_value) as a 17-digit decimal string."""
+    if sys.float_info.min <= value <= sys.float_info.max:
+        return value
+    return mpmath.nstr(mpmath.exp(log_value), 17)
+
+
 def _cmd_theta_basis(config: RunConfig):
     p = config.parameters
     tau = complex(*p["tau"])
     matrix = bpu_matrix(p["level"], tau=tau, eps=p["eps"], norm=p["norm"])
-    det = mpmath.exp(matrix.log_abs_determinant())
-    # a decimal string where the modulus is not a normal double
-    det_modulus = float(det) if sys.float_info.min <= det <= sys.float_info.max else mpmath.nstr(det, 17)
+    log_det = matrix.log_abs_determinant()
     body = {
-        "entries": [[_complex_json(z) for z in row] for row in matrix.entries.tolist()],
-        "smallest_singular_value": matrix.smallest_singular_value(),
-        "det_modulus": det_modulus,
+        "entries": matrix.entries,
+        "smallest_singular_value": _normal_or_decimal(
+            matrix.smallest_singular_value(), matrix.log_smallest_singular_value()
+        ),
+        "det_modulus": _normal_or_decimal(float(mpmath.exp(log_det)), log_det),
     }
     return _document(config, body), 0
 

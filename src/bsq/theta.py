@@ -16,14 +16,17 @@ times the Jacobi theta function theta(j*tau; k*tau), whose zeros are the
 points 1/2 + k*tau/2 + Z + k*tau*Z, and j*tau is never one of them.  So the
 matrix is invertible for every k and tau.  The optional half-form
 normalization is a single positive scalar in this model.  The sums are plain
-double precision; the determinant's modulus is also given as a logarithm,
-which stays finite where the modulus itself leaves the double range.
+double precision, and bpu_matrix raises TruncationFailure when a scaled null
+falls below the normal double range (at tau = i, past k of about 900).  The
+determinant's modulus and the smallest singular value are also given as
+logarithms, which stay finite where the values leave the double range.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,7 +37,8 @@ DEFAULT_EPS = 1e-12
 
 
 class TruncationFailure(ArithmeticError):
-    """The eps target would need a summation window beyond the hard cap."""
+    """The eps target would need a summation window beyond the hard cap, or
+    a theta-null underflows the normal double range."""
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,10 @@ class ThetaBasisMatrix:
         """sqrt(k) * min_j |norm * c_j|, exact because F / sqrt(k) is unitary."""
         return math.sqrt(self.k) * float(np.abs(self.nulls).min())
 
+    def log_smallest_singular_value(self) -> float:
+        """Natural log of the smallest singular value, 0.5 * ln k + min_j ln|norm * c_j|."""
+        return 0.5 * math.log(self.k) + float(np.log(np.abs(self.nulls)).min())
+
     def log_abs_determinant(self) -> float:
         """Natural log of |det M| = k^(k/2) * prod_j |norm * c_j|, as a sum of logarithms."""
         return 0.5 * self.k * math.log(self.k) + math.fsum(np.log(np.abs(self.nulls)))
@@ -190,6 +198,8 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: HalfFormNormaliza
     Row index = characteristic j/k, column index = point b_l.  Only the k
     theta-nulls c_j are summed, over the window of z = 0, which is the window
     of every real point; entry (j, l) is then norm * c_j * omega^(j*l).
+    Raises TruncationFailure when some |norm * c_j| is below the smallest
+    normal double, where the double-precision nulls are no longer accurate.
     """
     tau = _tau_value(tau)
     if norm is None:
@@ -200,4 +210,11 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: HalfFormNormaliza
     jl = np.outer(np.arange(k), np.arange(k)) % k
     dft = np.exp(2j * np.pi * jl / k)
     entries = norm.constant * (nulls[:, None] * dft)
+    smallest = np.abs(entries[:, 0]).min()
+    if smallest < sys.float_info.min:
+        raise TruncationFailure(
+            f"a scaled theta-null |norm * c_j| = {smallest} is below the normal double range "
+            f"(k={k}, tau={tau}, norm={norm.constant}): the double-precision sums underflow, "
+            f"at tau = i from about k = 900 on; log-scale nulls are ROADMAP item 4"
+        )
     return ThetaBasisMatrix(k=k, entries=entries, tau=tau, eps=eps, norm_constant=norm.constant)

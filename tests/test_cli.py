@@ -3,11 +3,15 @@ import shutil
 import subprocess
 import sys
 
+import mpmath
+import numpy as np
 import pytest
 
 from bsq import __version__
 from bsq.cli import main
-from bsq.trigraph import DUMBBELL_GRAPH, graph_to_text, parse_graph_text
+from bsq.jsontext import dumps
+from bsq.theta import bpu_matrix
+from bsq.trigraph import DUMBBELL_GRAPH, generate_trivalent, graph_to_text, parse_graph_text
 
 
 def run_cli(capsys, *argv):
@@ -264,3 +268,103 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 5
+
+
+def test_theta_basis_underflowing_nulls_are_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "960")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "TruncationFailure"
+    assert "k = 900" in error["message"] and "ROADMAP item 4" in error["message"]
+
+
+def test_theta_basis_smallest_singular_value_beyond_the_double_range(capsys):
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1e308")
+    assert code == 0, err
+    assert "Infinity" not in out
+    doc = json.loads(out)
+    nulls = bpu_matrix(8, tau=0.3 + 0.1j).nulls
+    with mpmath.workprec(80):
+        expected = mpmath.sqrt(8) * mpmath.mpf(1e308) * min(mpmath.mpf(abs(c)) for c in nulls.tolist())
+        assert isinstance(doc["smallest_singular_value"], str)
+        assert abs(mpmath.mpf(doc["smallest_singular_value"]) / expected - 1) < 1e-13
+
+
+def _genus3_graph_file(tmp_path):
+    path = tmp_path / "g3.graph"
+    path.write_text(graph_to_text(generate_trivalent(3)[0]))
+    return str(path)
+
+
+ROUND_TRIP = {
+    **{
+        f"theta k={k} tau={tau}": ("theta-basis", "--level", str(k), "--tau", tau)
+        for k in (1, 8, 200)
+        for tau in ("0,1", "0.3,0.1")
+    },
+    "ucurve": ("ucurve", "--level", "3", "--u", "0.7"),
+    "ucurve complex u": ("ucurve", "--level", "4", "--u", "0.5,0.5", "--grid", "200"),
+    "ucurve empty": ("ucurve", "--level", "1", "--u", "5", "--s-min", "0.1", "--s-max", "0.11", "--grid", "3"),
+    "ucurve zero fiber": ("ucurve", "--level", "6", "--u", "0"),
+    "weights theta2": ("weights", "--graph", "theta2", "--level", "4"),
+    "weights genus 3": ("weights", "--graph", _genus3_graph_file, "--level", "3"),
+    "weights count": ("weights", "--graph", "dumbbell2", "--level", "3", "--count-only"),
+    "graphs": ("graphs", "--genus", "3"),
+    "verify-jw": ("verify-jw", "--genus", "2", "--max-level", "3"),
+    "verify-jw negative control": ("verify-jw", "--genus", "2", "--max-level", "1", "--open-weight-range"),
+    "verlinde": ("verlinde", "--genus", "3", "--level", "100"),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_every_document_is_json_dumps_with_sorted_keys_and_indent_2(capsys, tmp_path, name):
+    argv = [a(tmp_path) if callable(a) else a for a in ROUND_TRIP[name]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1) and out, err
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+    if name == "ucurve empty":
+        assert json.loads(out)["points"] == []
+
+
+EDGE_BODIES = [
+    {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "zero": -0.0, "tiny": 5e-324},
+    {"flags": [True, False, None], "big": [10**40, -(10**25)], "empty": [[], {}, ""]},
+    {"text": "é ☃ \U0001f600 \"quoted\" \\ \n %s %d", "keys": {"é": 1, "%r": 2, "a b": [0.1, 2]}},
+    {"rows": [[1, 2, 3], [4, 5, 6], [7, 8], [True, 1, 2], [1.5, float("nan"), 2.0], [], [9, 10, 11]]},
+    {"rows": [[0.1, -0.0], [1e308, 5e-324], [float("inf"), 1.0], [2.0, 3.0]]},
+    {"rows": [[], [], [1]]},
+    {"rows": [[True, 1], [False, 0]], "points": [{"ok": True, "m": 1}, {"ok": False, "m": 2}]},
+    {"rows": [{"%d": 1, "é": [0.5], "k": "%s"}, {"%d": 2, "é": [1.5], "k": "\u00e9"}]},
+    {"points": [
+        {"b": 0.5, "b_exact": "1/2", "s": [0.25, -0.0], "m": 1},
+        {"b": 0.75, "b_exact": "3/4", "s": [float("nan"), 0.0], "m": 2},
+        {"b": 1.0, "b_exact": "é%", "s": [0.0, 0.0], "m": True},
+        {"b": 1.0, "b_exact": "1", "s": [0.0], "m": 3},
+        {"b": 1.0, "b_exact": "1", "s": [0.0, 0.0], "m": 3, "extra": []},
+        {"b": 2.0, "b_exact": "2", "s": [1.0, 2.0], "m": 4},
+    ]},
+    {"nested": [{"a": [[1, 2], [3, 4]]}, {"a": {}}, [[[]]], {}, 1, "x", 2.5]},
+    [],
+    {},
+    "plain",
+    3.25,
+]
+
+
+@pytest.mark.parametrize("body", EDGE_BODIES)
+def test_dumps_matches_json_on_edge_values(body):
+    assert dumps(body) == json.dumps(body, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[1 + 2j, -0.0 - 0.0j], [5e-324 + 1e308j, 0.1 - 0.2j]]),
+        np.array([[complex("nan+1j"), 1j], [complex("inf-1j"), -1.0 + 0j]]),
+        np.array([[3 + 4j]]),
+    ],
+)
+def test_dumps_writes_a_complex_matrix_as_rows_of_pairs(matrix):
+    pairs = [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+    assert dumps({"entries": matrix}) == json.dumps({"entries": pairs}, sort_keys=True, indent=2)

@@ -262,3 +262,18 @@ def test_cli_theta_basis_spectrum_at_high_level(capsys, k):
         assert isinstance(doc["det_modulus"], str)  # below the double range
         assert abs(mpmath.mpf(doc["det_modulus"]) / det - 1) < 1e-6
 
+
+
+def test_underflowing_nulls_fail_loudly():
+    # at tau = i the double-precision nulls underflow past k of about 900;
+    # a zero or subnormal null would give a false singular value and determinant
+    assert bpu_matrix(900).smallest_singular_value() > 0
+    with pytest.raises(TruncationFailure, match="ROADMAP item 4"):
+        bpu_matrix(960)
+    with pytest.raises(TruncationFailure, match="below the normal double range"):
+        bpu_matrix(3, norm=1e-310)
+
+
+def test_log_smallest_singular_value():
+    m = bpu_matrix(16, tau=0.3 + 0.1j)
+    assert math.isclose(m.log_smallest_singular_value(), math.log(m.smallest_singular_value()), rel_tol=1e-14)

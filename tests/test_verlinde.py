@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 
 from bsq.verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
@@ -106,3 +107,24 @@ def test_default_precision_certifies_beyond_96_bits(g, k, bits):
 
 def test_default_precision_matches_the_fusion_rule_dimension():
     assert verlinde_dim(10, 50).dim == oracle_fusion_dimension(10, 50)
+
+
+# Captured before the terms were shared between mirror pairs: the exact
+# mpf of raw_sum (sign, mantissa, exponent, bit count), the 25-digit string
+# the CLI writes, and repr(error_bound).
+PINNED = [
+    (2, 1000, "(0, 167668501, 0, 28)", "167668501.0", "5.079057618274949e-20"),
+    (3, 2000, "(0, 49161243200610508058627407871, -37, 96)", "357695121788205201.0", "1.444719091542956e-10"),
+    (4, 1250, "(0, 65523940026144415403290656763, -15, 96)", "1999631958805676739602376.0", "0.001009556145364679"),
+    (6, 200, "(0, 813596651738831628893925212831, -5, 100)", "2.542489536683848840293516e+28", "0.28079388363927205"),
+    (10, 50, "(0, 12221384075991844268503083680332054523, -7, 124)", "9.547956309368628334768034e+34", "0.39506961836534155"),
+    (1, 5, "(0, 3, 1, 2)", "6.0", "1.2116903504194741e-27"),
+]
+
+
+@pytest.mark.parametrize("g, k, mpf_bits, text, bound", PINNED)
+def test_raw_sum_and_error_bound_are_pinned_bit_for_bit(g, k, mpf_bits, text, bound):
+    value = verlinde_dim(g, k)
+    assert str(value.raw_sum._mpf_) == mpf_bits
+    assert mpmath.nstr(value.raw_sum, 25) == text
+    assert repr(value.error_bound) == bound
