@@ -10,8 +10,6 @@ of the level-k quantization.
 __version__ = "0.1.0"
 
 from .theta import (
-    HalfFormNormalization,
-    ModularParameter,
     ThetaBasisMatrix,
     ThetaCharacteristic,
     TruncationFailure,
@@ -19,7 +17,6 @@ from .theta import (
     bs_points,
     characteristics,
     theta_value,
-    truncation_bound,
 )
 from .trigraph import (
     BUILTIN_GRAPHS,
@@ -64,9 +61,7 @@ __all__ = [
     "BUILTIN_GRAPHS",
     "DEFAULT_PRECISION",
     "DUMBBELL_GRAPH",
-    "HalfFormNormalization",
     "IntegralityFailure",
-    "ModularParameter",
     "ShapeMismatch",
     "SupercyclePoint",
     "THETA_GRAPH",
@@ -95,7 +90,6 @@ __all__ = [
     "polytope_contains",
     "theta_value",
     "trace_slice",
-    "truncation_bound",
     "verlinde_dim",
     "zero_level_fiber",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -359,8 +360,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"--tau must have positive imaginary part, got {args.tau}")
         if not args.eps > 0:
             raise UsageError(f"--eps must be positive, got {args.eps}")
-        if not args.norm > 0:
-            raise UsageError(f"--norm must be positive, got {args.norm}")
+        if not (args.norm > 0 and math.isfinite(args.norm)):
+            raise UsageError(f"--norm must be positive and finite, got {args.norm}")
         p = {"level": args.level, "tau": [tau.real, tau.imag], "eps": args.eps, "norm": args.norm}
     elif sc == "ucurve":
         u = _parse_complex(args.u, "--u")

@@ -14,12 +14,15 @@ the k level-k theta-nulls c_j, its singular values are sqrt(k)*|c_j|, and
 |det M| = k^(k/2) * prod |c_j|.  No c_j vanishes: c_j is a nonzero factor
 times the Jacobi theta function theta(j*tau; k*tau), whose zeros are the
 points 1/2 + k*tau/2 + Z + k*tau*Z, and j*tau is never one of them.  So the
-matrix is invertible for every k and tau.  The optional half-form
-normalization is a single positive scalar in this model.  The sums are plain
-double precision, and bpu_matrix raises TruncationFailure when a scaled null
-falls below the normal double range (at tau = i, past k of about 900).  The
-determinant's modulus and the smallest singular value are also given as
-logarithms, which stay finite where the values leave the double range.
+matrix is invertible for every k and tau.
+
+The nulls are summed in log scale.  With m0 the member of j + kZ nearest 0,
+c_j = exp(pi*i*tau*m0^2/k) * S_j, where every term of S_j has modulus at most
+1 and one term is 1, so ln|c_j| = -pi*Im(tau)*m0^2/k + ln|S_j| is accurate
+at every level, although |c_j| itself leaves the double range at tau = i
+from k of about 900 on.  The smallest singular value and the determinant's
+modulus are taken from these logarithms.  The optional half-form
+normalization is a single positive scalar in this model.
 """
 
 from __future__ import annotations
@@ -37,29 +40,20 @@ DEFAULT_EPS = 1e-12
 
 
 class TruncationFailure(ArithmeticError):
-    """The eps target would need a summation window beyond the hard cap, or
-    a theta-null underflows the normal double range."""
-
-
-@dataclass(frozen=True)
-class ModularParameter:
-    """Upper half-plane parameter of the underlying torus."""
-
-    tau: complex = 1j
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", complex(self.tau))
-        if not self.tau.imag > 0:
-            raise ValueError(f"Im(tau) must be positive, got {self.tau}")
+    """The eps target would need a summation window beyond the hard cap."""
 
 
 def _tau_value(tau) -> complex:
-    if isinstance(tau, ModularParameter):
-        return tau.tau
     t = complex(tau)
     if not t.imag > 0:
         raise ValueError(f"Im(tau) must be positive, got {t}")
     return t
+
+
+def _level(k) -> int:
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"level must be an integer >= 1, got {k!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -84,27 +78,12 @@ class ThetaCharacteristic:
 
 def characteristics(k: int) -> list[ThetaCharacteristic]:
     """All k characteristics j/k, j = 0..k-1."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"level must be an integer >= 1, got {k!r}")
-    return [ThetaCharacteristic(k, Fraction(j, k)) for j in range(k)]
-
-
-@dataclass(frozen=True)
-class HalfFormNormalization:
-    """Scalar half-form factor; the model keeps it at 1 unless overridden."""
-
-    constant: float = 1.0
-
-    def __post_init__(self):
-        if not self.constant > 0:
-            raise ValueError(f"normalization must be positive, got {self.constant}")
+    return [ThetaCharacteristic(k, Fraction(j, k)) for j in range(_level(k))]
 
 
 def bs_points(k: int) -> list[Fraction]:
     """The k Bohr-Sommerfeld points b_j = j/k, increasing, exact rationals."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"level must be an integer >= 1, got {k!r}")
-    return [Fraction(j, k) for j in range(k)]
+    return [Fraction(j, k) for j in range(_level(k))]
 
 
 def _window(k: int, w: float, z: complex, tau: complex, eps: float) -> int:
@@ -115,6 +94,8 @@ def _window(k: int, w: float, z: complex, tau: complex, eps: float) -> int:
     sqrt(ln(1/eps)/t) past the Gaussian center, which leaves the omitted
     mass below eps times the largest retained term (geometric tail bound).
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     t = math.pi * k * tau.imag
     center = -w - z.imag / tau.imag
     spread = math.sqrt(max(math.log(1.0 / eps), 0.0) / t)
@@ -127,21 +108,10 @@ def _window(k: int, w: float, z: complex, tau: complex, eps: float) -> int:
     return n
 
 
-def truncation_bound(ch: ThetaCharacteristic, z: complex, tau=1j, eps: float = DEFAULT_EPS) -> float:
-    """Absolute bound on the dropped tail: eps times the peak term size."""
-    tau = _tau_value(tau)
-    z = complex(z)
-    t = math.pi * ch.k * tau.imag
-    shift = z.imag / tau.imag
-    return eps * math.exp(t * shift * shift)
-
-
 def theta_value(ch: ThetaCharacteristic, z: complex, tau=1j, eps: float = DEFAULT_EPS) -> complex:
     """Evaluate theta_w(z) by direct summation over the truncation window."""
     if not isinstance(ch, ThetaCharacteristic):
         raise TypeError(f"expected a ThetaCharacteristic, got {type(ch).__name__}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     tau = _tau_value(tau)
     z = complex(z)
     k = ch.k
@@ -156,10 +126,15 @@ def theta_value(ch: ThetaCharacteristic, z: complex, tau=1j, eps: float = DEFAUL
 
 @dataclass(frozen=True)
 class ThetaBasisMatrix:
-    """Square evaluation matrix M[j][l] = norm * theta_{j/k}(b_l) = norm * c_j * omega^(j*l)."""
+    """Square evaluation matrix M[j][l] = norm * theta_{j/k}(b_l) = norm * c_j * omega^(j*l).
+
+    log_moduli[j] = ln|norm * c_j| stays exact where |norm * c_j| is too small
+    for a double and row j of the entries is subnormal or 0.0.
+    """
 
     k: int
     entries: np.ndarray = field(repr=False)
+    log_moduli: np.ndarray = field(repr=False)
     tau: complex
     eps: float
     norm_constant: float = 1.0
@@ -175,11 +150,11 @@ class ThetaBasisMatrix:
 
     def log_smallest_singular_value(self) -> float:
         """Natural log of the smallest singular value, 0.5 * ln k + min_j ln|norm * c_j|."""
-        return 0.5 * math.log(self.k) + float(np.log(np.abs(self.nulls)).min())
+        return 0.5 * math.log(self.k) + float(self.log_moduli.min())
 
     def log_abs_determinant(self) -> float:
         """Natural log of |det M| = k^(k/2) * prod_j |norm * c_j|, as a sum of logarithms."""
-        return 0.5 * self.k * math.log(self.k) + math.fsum(np.log(np.abs(self.nulls)))
+        return 0.5 * self.k * math.log(self.k) + math.fsum(self.log_moduli)
 
     def determinant(self) -> complex:
         """det M = det F * prod_j norm * c_j, with det F = k^(k/2) * i^((k(k-1)/2 + (k-1)^2) mod 4).
@@ -192,29 +167,39 @@ class ThetaBasisMatrix:
         return phase * complex(np.prod(math.sqrt(k) * self.nulls))
 
 
-def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: HalfFormNormalization | float | None = None) -> ThetaBasisMatrix:
+def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> ThetaBasisMatrix:
     """Evaluate every characteristic at every Bohr-Sommerfeld point.
 
-    Row index = characteristic j/k, column index = point b_l.  Only the k
-    theta-nulls c_j are summed, over the window of z = 0, which is the window
-    of every real point; entry (j, l) is then norm * c_j * omega^(j*l).
-    Raises TruncationFailure when some |norm * c_j| is below the smallest
-    normal double, where the double-precision nulls are no longer accurate.
+    Row index = characteristic j/k, column index = point b_l; entry (j, l)
+    is norm * c_j * omega^(j*l).  The nulls are one centred sum: for every
+    class j + kZ at once, S_j = sum_{|n| <= N} exp(pi*i*tau*n*(2*m0 + n*k)),
+    one length-k vector per offset n, with N the window of w = 1, z = 0,
+    which covers every class.  Raises ValueError when an entry is not finite.
     """
+    k = _level(k)
     tau = _tau_value(tau)
-    if norm is None:
-        norm = HalfFormNormalization()
-    elif not isinstance(norm, HalfFormNormalization):
-        norm = HalfFormNormalization(float(norm))
-    nulls = np.array([theta_value(ch, 0j, tau, eps) for ch in characteristics(k)])
-    jl = np.outer(np.arange(k), np.arange(k)) % k
-    dft = np.exp(2j * np.pi * jl / k)
-    entries = norm.constant * (nulls[:, None] * dft)
-    smallest = np.abs(entries[:, 0]).min()
-    if smallest < sys.float_info.min:
-        raise TruncationFailure(
-            f"a scaled theta-null |norm * c_j| = {smallest} is below the normal double range "
-            f"(k={k}, tau={tau}, norm={norm.constant}): the double-precision sums underflow, "
-            f"at tau = i from about k = 900 on; log-scale nulls are ROADMAP item 4"
+    norm = float(norm)
+    if not norm > 0:
+        raise ValueError(f"normalization must be positive, got {norm}")
+    j = np.arange(k)
+    m0 = j - k * (2 * j >= k)
+    phase = 1j * math.pi * tau
+    sums = np.ones(k, dtype=complex)
+    for n in range(1, _window(k, 1.0, 0j, tau, eps) + 1):
+        sums += np.exp(phase * (n * (n * k + 2 * m0))) + np.exp(phase * (n * (n * k - 2 * m0)))
+    centre = phase * (m0 * m0) / k
+    log_moduli = math.log(norm) + centre.real + np.log(np.abs(sums))
+    nulls = np.exp(centre) * sums
+    dft = np.exp(2j * np.pi * (np.outer(j, j) % k) / k)
+    # a null below the normal range has lost bits that a norm above 1 would
+    # bring back into range, so those rows are taken from exp(ln norm + ...)
+    low = np.abs(nulls) < sys.float_info.min
+    with np.errstate(over="ignore"):
+        entries = norm * (nulls[:, None] * dft)
+        entries[low] = (np.exp(math.log(norm) + centre[low]) * sums[low])[:, None] * dft[low]
+    if not np.isfinite(entries).all():
+        raise ValueError(
+            f"norm = {norm} puts matrix entries beyond the double range "
+            f"(k={k}, tau={tau}, largest ln|norm * c_j| = {log_moduli.max():.6g})"
         )
-    return ThetaBasisMatrix(k=k, entries=entries, tau=tau, eps=eps, norm_constant=norm.constant)
+    return ThetaBasisMatrix(k=k, entries=entries, log_moduli=log_moduli, tau=tau, eps=eps, norm_constant=norm)

@@ -131,7 +131,6 @@ def is_admissible(graph: TrivalentGraph, k: int, weight) -> AdmissibilityReport:
 
 def _edge_order(graph: TrivalentGraph) -> list[int]:
     """Order edges so each assignment closes vertices as early as possible."""
-    inc = _incidence(graph)
     filled = [0] * graph.vertex_count
     remaining = list(range(len(graph.edges)))
     order = []

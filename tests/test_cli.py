@@ -270,15 +270,6 @@ def test_console_script():
     assert json.loads(proc.stdout)["count"] == 5
 
 
-def test_theta_basis_underflowing_nulls_are_a_domain_error(capsys):
-    code, out, err = run_cli(capsys, "theta-basis", "--level", "960")
-    assert code == 1
-    assert out == ""
-    error = json.loads(err)
-    assert error["error"] == "TruncationFailure"
-    assert "k = 900" in error["message"] and "ROADMAP item 4" in error["message"]
-
-
 def test_theta_basis_smallest_singular_value_beyond_the_double_range(capsys):
     code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1e308")
     assert code == 0, err
@@ -289,6 +280,35 @@ def test_theta_basis_smallest_singular_value_beyond_the_double_range(capsys):
         expected = mpmath.sqrt(8) * mpmath.mpf(1e308) * min(mpmath.mpf(abs(c)) for c in nulls.tolist())
         assert isinstance(doc["smallest_singular_value"], str)
         assert abs(mpmath.mpf(doc["smallest_singular_value"]) / expected - 1) < 1e-13
+
+
+def test_theta_basis_det_modulus_stays_finite_for_a_huge_norm(capsys):
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.7e308")
+    assert code == 0, err
+    assert "Infinity" not in out
+    doc = json.loads(out)
+    log_det = bpu_matrix(8, tau=0.3 + 0.1j).log_abs_determinant()
+    with mpmath.workprec(80):
+        expected = mpmath.mpf(1.7e308) ** 8 * mpmath.exp(log_det)
+        assert isinstance(doc["det_modulus"], str)
+        assert abs(mpmath.mpf(doc["det_modulus"]) / expected - 1) < 1e-12
+
+
+def test_theta_basis_entries_beyond_the_double_range_are_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.79e308")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "beyond the double range" in error["message"]
+
+
+@pytest.mark.parametrize("norm", ["inf", "nan", "0", "-1"])
+def test_theta_basis_norm_must_be_positive_and_finite(capsys, norm):
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "2", "--norm", norm)
+    assert code == 2
+    assert out == ""
+    assert "--norm" in err
 
 
 def _genus3_graph_file(tmp_path):
