@@ -22,14 +22,12 @@ from pathlib import Path
 import mpmath
 
 from . import __version__
-from .jsontext import dumps
+from .jsontext import dump
 from .theta import TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
 from .verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
 from .weights import ShapeMismatch, count_admissible, enumerate_admissible
-
-SUBCOMMANDS = ("verlinde", "graphs", "weights", "theta-basis", "ucurve", "verify-jw")
 
 
 class UsageError(Exception):
@@ -45,16 +43,15 @@ class RunConfig:
 
 
 def _parse_complex(text: str, name: str) -> complex:
-    """Accept 'RE,IM' or a bare real part."""
+    """Accept 'RE,IM' or a bare real part, both finite."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        values = [float(part) for part in parts]
     except ValueError:
-        pass
-    raise UsageError(f"{name} must look like 'RE,IM' or 'RE', got {text!r}")
+        values = []
+    if 1 <= len(values) <= 2 and all(map(math.isfinite, values)):
+        return complex(*values)
+    raise UsageError(f"{name} must look like 'RE,IM' or 'RE' with finite parts, got {text!r}")
 
 
 def _precision_from_env(default: int) -> int:
@@ -74,7 +71,10 @@ def _resolve_graph(name_or_path: str) -> TrivalentGraph:
     """A --graph value is a builtin name (theta2, dumbbell2) or a file path."""
     path = Path(name_or_path)
     if path.is_file():
-        return parse_graph_text(path.read_text())
+        try:
+            return parse_graph_text(path.read_text())
+        except ValueError as exc:
+            raise UsageError(f"{name_or_path}: {exc}") from None
     if name_or_path in BUILTIN_GRAPHS:
         return BUILTIN_GRAPHS[name_or_path]
     raise UsageError(
@@ -93,14 +93,14 @@ def _complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _document(config: RunConfig, body: dict) -> str:
+def _document(config: RunConfig, body: dict) -> dict:
     doc = {
         "tool_version": __version__,
         "subcommand": config.subcommand,
         "parameters": config.parameters,
     }
     doc.update(body)
-    return dumps(doc) + "\n"
+    return doc
 
 
 def _cmd_verlinde(config: RunConfig):
@@ -241,34 +241,34 @@ _HANDLERS = {
 }
 
 
+def _report(config: RunConfig, error: str, message: str) -> None:
+    """The JSON error object of a failed run, on stderr."""
+    fields = {"tool_version": __version__, "subcommand": config.subcommand, "error": error, "message": message}
+    sys.stderr.write(json.dumps(fields, sort_keys=True) + "\n")
+
+
+def _emit(document, write) -> None:
+    if type(document) is str:  # CSV text
+        write(document)
+    else:
+        dump(document, write)
+        write("\n")
+
+
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration: build the whole document, then emit."""
-    if config.subcommand not in _HANDLERS:
-        sys.stderr.write(f"error: unknown subcommand {config.subcommand!r}\n")
-        return 2
+    """Execute a validated configuration: build the whole document, then write it out."""
     try:
         document, code = _HANDLERS[config.subcommand](config)
     except (IntegralityFailure, TruncationFailure, ShapeMismatch, ValueError) as exc:
-        error = {
-            "tool_version": __version__,
-            "subcommand": config.subcommand,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+        _report(config, type(exc).__name__, str(exc))
         return 1
     if config.output is None:
-        sys.stdout.write(document)
+        _emit(document, sys.stdout.write)
     else:
-        Path(config.output).write_text(document)
+        with open(config.output, "w") as fh:
+            _emit(document, fh.write)
     if code != 0:
-        error = {
-            "tool_version": __version__,
-            "subcommand": config.subcommand,
-            "error": "VerificationMismatch",
-            "message": "weight count differs from the dimension in at least one row",
-        }
-        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+        _report(config, "VerificationMismatch", "weight count differs from the dimension in at least one row")
     return code
 
 
@@ -358,19 +358,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         tau = _parse_complex(args.tau, "--tau")
         if not tau.imag > 0:
             raise UsageError(f"--tau must have positive imaginary part, got {args.tau}")
-        if not args.eps > 0:
-            raise UsageError(f"--eps must be positive, got {args.eps}")
+        if not (args.eps > 0 and math.isfinite(args.eps)):
+            raise UsageError(f"--eps must be positive and finite, got {args.eps}")
         if not (args.norm > 0 and math.isfinite(args.norm)):
             raise UsageError(f"--norm must be positive and finite, got {args.norm}")
         p = {"level": args.level, "tau": [tau.real, tau.imag], "eps": args.eps, "norm": args.norm}
     elif sc == "ucurve":
         u = _parse_complex(args.u, "--u")
+        if not (math.isfinite(args.s_min) and math.isfinite(args.s_max)):
+            raise UsageError(f"--s-min and --s-max must be finite, got {args.s_min}, {args.s_max}")
         if not args.s_min < args.s_max:
             raise UsageError(f"--s-min must be below --s-max, got {args.s_min}, {args.s_max}")
         if args.grid < 2:
             raise UsageError(f"--grid must be >= 2, got {args.grid}")
-        if not args.tol > 0:
-            raise UsageError(f"--tol must be positive, got {args.tol}")
+        if not (args.tol > 0 and math.isfinite(args.tol)):
+            raise UsageError(f"--tol must be positive and finite, got {args.tol}")
         fmt = args.format
         p = {
             "level": args.level,

@@ -45,8 +45,8 @@ class TruncationFailure(ArithmeticError):
 
 def _tau_value(tau) -> complex:
     t = complex(tau)
-    if not t.imag > 0:
-        raise ValueError(f"Im(tau) must be positive, got {t}")
+    if not (t.imag > 0 and cmath.isfinite(t)):
+        raise ValueError(f"tau must be finite with positive imaginary part, got {t}")
     return t
 
 
@@ -94,8 +94,8 @@ def _window(k: int, w: float, z: complex, tau: complex, eps: float) -> int:
     sqrt(ln(1/eps)/t) past the Gaussian center, which leaves the omitted
     mass below eps times the largest retained term (geometric tail bound).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     t = math.pi * k * tau.imag
     center = -w - z.imag / tau.imag
     spread = math.sqrt(max(math.log(1.0 / eps), 0.0) / t)

@@ -279,17 +279,21 @@ def parse_graph_text(text: str) -> TrivalentGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "v" and len(parts) == 2:
+        kind, *fields = line.split()
+        if (kind, len(fields)) not in (("v", 1), ("e", 2)):
+            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+        try:
+            numbers = tuple(map(int, fields))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
+        if kind == "v":
             if vertex_count is not None:
                 raise ValueError(f"line {lineno}: duplicate vertex count")
-            vertex_count = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
+            vertex_count = numbers[0]
+        else:
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: edge before vertex count")
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+            edges.append(numbers)
     if vertex_count is None:
         raise ValueError("missing 'v <count>' line")
     return TrivalentGraph(vertex_count, tuple(edges))

@@ -18,6 +18,7 @@ so translation orbits close exactly; the residual functions accept any real b.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,15 +125,15 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     """
     _check_level(k)
     u = complex(u)
-    if u == 0:
-        raise ValueError("u must be nonzero; the u = 0 fiber is zero_level_fiber(k)")
+    if u == 0 or not cmath.isfinite(u):
+        raise ValueError(f"u must be finite and nonzero, got {u}; the u = 0 fiber is zero_level_fiber(k)")
     lo, hi = float(s_window[0]), float(s_window[1])
-    if not lo < hi:
-        raise ValueError(f"s_window must be an increasing interval, got ({lo}, {hi})")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"s_window must be a finite increasing interval, got ({lo}, {hi})")
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     corners = [k * bb + u.real * s for bb in (0.0, 1.0) for s in (lo, hi)]
     # candidates as (b, |s|, m, s, i) with b = i / grid, the double nearest to

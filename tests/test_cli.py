@@ -1,7 +1,9 @@
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from bsq import __version__
 from bsq.cli import main
-from bsq.jsontext import dumps
+from bsq.jsontext import dump
 from bsq.theta import bpu_matrix
 from bsq.trigraph import DUMBBELL_GRAPH, generate_trivalent, graph_to_text, parse_graph_text
 
@@ -122,6 +124,26 @@ def test_weights_unknown_graph_is_usage_error(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v 2\ne 0 1\n", "not trivalent"),
+        ("v x\n", "line 1: expected integers"),
+        ("v 2\ne 0 1\ne 0 1.5\n", "line 3: expected integers"),
+        ("v 2\ne 0 1 1\n", "line 2: cannot parse"),
+        ("e 0 1\n", "line 1: edge before vertex count"),
+        ("# nothing\n", "missing 'v <count>' line"),
+    ],
+)
+def test_weights_malformed_graph_file_is_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "weights", "--graph", str(path), "--level", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 def test_weights_level_zero_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "weights", "--graph", "theta2", "--level", "0")
     assert code == 2
@@ -204,6 +226,27 @@ def test_ucurve_usage_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ucurve", "--level", "3", "--u", "0.7", "--s-max", "inf"),
+        ("ucurve", "--level", "3", "--u", "0.7", "--s-min=-inf"),
+        ("ucurve", "--level", "3", "--u", "0.7", "--s-min", "nan"),
+        ("ucurve", "--level", "3", "--u", "0.7", "--tol", "inf"),
+        ("ucurve", "--level", "3", "--u", "nan"),
+        ("ucurve", "--level", "3", "--u", "0.5,inf"),
+        ("theta-basis", "--level", "3", "--tau", "nan,1"),
+        ("theta-basis", "--level", "3", "--tau", "0,inf"),
+        ("theta-basis", "--level", "3", "--eps", "inf"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_verify_jw_passes_at_closed_range(capsys):
     doc = run_json(capsys, "verify-jw", "--genus", "2", "--max-level", "2")
     assert doc["all_match"] is True
@@ -238,6 +281,37 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert out == ""
     code2, out2, _ = run_cli(capsys, "verlinde", "--genus", "2", "--level", "5")
     assert path.read_text() == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta-basis", "--level", "2", "--tau", "0,1e-18"),
+        ("theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.79e308"),
+        ("verify-jw", "--genus", "2", "--max-level", "1", "--open-weight-range"),
+    ],
+)
+def test_output_file_only_for_a_document(capsys, tmp_path, argv):
+    path = tmp_path / "doc.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 1
+    assert out == ""
+    # a domain error writes no file; a verification mismatch still writes its document
+    assert path.exists() == (json.loads(err)["error"] == "VerificationMismatch")
+
+
+def test_writing_a_theta_document_holds_about_one_row(tmp_path):
+    entries = bpu_matrix(300, tau=0.1 + 0.7j).entries
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w") as fh:
+            dump({"entries": entries, "level": 300}, fh.write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2 * entries.nbytes
+    assert peak < entries.nbytes / 4
 
 
 def test_usage_exit_codes_from_argparse(capsys):
@@ -351,7 +425,7 @@ EDGE_BODIES = [
     {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "zero": -0.0, "tiny": 5e-324},
     {"flags": [True, False, None], "big": [10**40, -(10**25)], "empty": [[], {}, ""]},
     {"text": "é ☃ \U0001f600 \"quoted\" \\ \n %s %d", "keys": {"é": 1, "%r": 2, "a b": [0.1, 2]}},
-    {"rows": [[1, 2, 3], [4, 5, 6], [7, 8], [True, 1, 2], [1.5, float("nan"), 2.0], [], [9, 10, 11]]},
+    {"rows": [[1, 2, 3], [4, 5, 6], [7, 8], [True, 1, 2], [1.5, float("nan"), 2.0], [], [9, 10, 11], [-5, 10**30, 0]]},
     {"rows": [[0.1, -0.0], [1e308, 5e-324], [float("inf"), 1.0], [2.0, 3.0]]},
     {"rows": [[], [], [1]]},
     {"rows": [[True, 1], [False, 0]], "points": [{"ok": True, "m": 1}, {"ok": False, "m": 2}]},
@@ -372,9 +446,15 @@ EDGE_BODIES = [
 ]
 
 
+def _dumped(body) -> str:
+    buf = io.StringIO()
+    dump(body, buf.write)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("body", EDGE_BODIES)
 def test_dumps_matches_json_on_edge_values(body):
-    assert dumps(body) == json.dumps(body, sort_keys=True, indent=2)
+    assert _dumped(body) == json.dumps(body, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -387,4 +467,4 @@ def test_dumps_matches_json_on_edge_values(body):
 )
 def test_dumps_writes_a_complex_matrix_as_rows_of_pairs(matrix):
     pairs = [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
-    assert dumps({"entries": matrix}) == json.dumps({"entries": pairs}, sort_keys=True, indent=2)
+    assert _dumped({"entries": matrix}) == json.dumps({"entries": pairs}, sort_keys=True, indent=2)

@@ -104,12 +104,22 @@ def test_characteristic_validation():
         characteristics(0)
 
 
+@pytest.mark.parametrize("tau", [complex("nan+1j"), complex(0, math.inf), complex(math.inf, 1), complex("1+nanj")])
+def test_non_finite_tau_is_rejected(tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        bpu_matrix(3, tau=tau)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        theta_value(ThetaCharacteristic(3, Fraction(0)), 0j, tau=tau)
+
+
 def test_theta_value_argument_validation():
     ch = ThetaCharacteristic(2, Fraction(0))
     with pytest.raises(TypeError):
         theta_value(Fraction(0), 0.0)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         theta_value(ch, 0.0, eps=0.0)
+    with pytest.raises(ValueError):
+        theta_value(ch, 0.0, eps=math.inf)
     with pytest.raises(ValueError):
         theta_value(ch, 0.0, tau=1.0 + 0j)
 

@@ -246,6 +246,22 @@ def test_trace_argument_validation():
         trace_slice(0, 1 + 0j, (-2.0, 2.0), 10, 1e-9)
 
 
+@pytest.mark.parametrize(
+    "u, s_window, tol",
+    [
+        (complex("nan"), (-2.0, 2.0), 1e-9),
+        (complex(0.7, math.inf), (-2.0, 2.0), 1e-9),
+        (0.7 + 0j, (-2.0, math.inf), 1e-9),
+        (0.7 + 0j, (-math.inf, 2.0), 1e-9),
+        (0.7 + 0j, (math.nan, 2.0), 1e-9),
+        (0.7 + 0j, (-2.0, 2.0), math.inf),
+    ],
+)
+def test_trace_rejects_non_finite_arguments(u, s_window, tol):
+    with pytest.raises(ValueError, match="finite"):
+        trace_slice(3, u, s_window, 10, tol)
+
+
 def test_point_and_slice_validation():
     with pytest.raises(ValueError):
         SupercyclePoint(b=Fraction(5, 4), s=0j, u=0j, m=0)
