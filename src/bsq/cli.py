@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import mpmath
-
 from . import __version__
 from .jsontext import dump
 from .theta import TruncationFailure, bpu_matrix
@@ -54,10 +52,11 @@ def _parse_complex(text: str, name: str) -> complex:
     raise UsageError(f"{name} must look like 'RE,IM' or 'RE' with finite parts, got {text!r}")
 
 
-def _precision_from_env(default: int) -> int:
+def _precision_from_env() -> int | None:
+    """The bit count in BSQ_PRECISION, or None when it is unset."""
     raw = os.environ.get("BSQ_PRECISION")
     if raw is None:
-        return default
+        return None
     try:
         prec = int(raw)
     except ValueError:
@@ -73,6 +72,8 @@ def _resolve_graph(name_or_path: str) -> TrivalentGraph:
     if path.is_file():
         try:
             return parse_graph_text(path.read_text())
+        except OSError as exc:
+            raise UsageError(f"{name_or_path}: {exc.strerror}") from None
         except ValueError as exc:
             raise UsageError(f"{name_or_path}: {exc}") from None
     if name_or_path in BUILTIN_GRAPHS:
@@ -104,6 +105,8 @@ def _document(config: RunConfig, body: dict) -> dict:
 
 
 def _cmd_verlinde(config: RunConfig):
+    import mpmath
+
     p = config.parameters
     value = verlinde_dim(p["genus"], p["level"], prec=p["precision"])
     body = {
@@ -143,12 +146,16 @@ def _cmd_weights(config: RunConfig):
 
 def _normal_or_decimal(value: float, log_value: float) -> float | str:
     """value when it is a normal double, else exp(log_value) as a 17-digit decimal string."""
+    import mpmath
+
     if sys.float_info.min <= value <= sys.float_info.max:
         return value
     return mpmath.nstr(mpmath.exp(log_value), 17)
 
 
 def _cmd_theta_basis(config: RunConfig):
+    import mpmath
+
     p = config.parameters
     tau = complex(*p["tau"])
     matrix = bpu_matrix(p["level"], tau=tau, eps=p["eps"], norm=p["norm"])
@@ -256,7 +263,10 @@ def _emit(document, write) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration: build the whole document, then write it out."""
+    """Execute a validated configuration: build the whole document, then write it out.
+
+    Raises UsageError when the --output path cannot be opened.
+    """
     try:
         document, code = _HANDLERS[config.subcommand](config)
     except (IntegralityFailure, TruncationFailure, ShapeMismatch, ValueError) as exc:
@@ -265,7 +275,11 @@ def run(config: RunConfig) -> int:
     if config.output is None:
         _emit(document, sys.stdout.write)
     else:
-        with open(config.output, "w") as fh:
+        try:
+            fh = open(config.output, "w")
+        except OSError as exc:
+            raise UsageError(f"{config.output}: {exc.strerror}") from None
+        with fh:
             _emit(document, fh.write)
     if code != 0:
         _report(config, "VerificationMismatch", "weight count differs from the dimension in at least one row")
@@ -340,8 +354,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if sc == "verlinde":
         if args.genus < 1:
             raise UsageError(f"--genus must be >= 1, got {args.genus}")
-        default = working_precision(args.genus, args.level)
-        p = {"genus": args.genus, "level": args.level, "precision": _precision_from_env(default)}
+        prec = _precision_from_env()
+        if prec is None:
+            prec = working_precision(args.genus, args.level)
+        p = {"genus": args.genus, "level": args.level, "precision": prec}
     elif sc == "graphs":
         if args.genus < 2:
             raise UsageError(f"--genus must be >= 2 for graph generation, got {args.genus}")
@@ -391,7 +407,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             "genus": args.genus,
             "max_level": args.max_level,
             "open_weight_range": bool(args.open_weight_range),
-            "precision": _precision_from_env(DEFAULT_PRECISION),
+            "precision": _precision_from_env() or DEFAULT_PRECISION,
         }
 
     return RunConfig(subcommand=sc, parameters=p, output=args.output, format=fmt)
@@ -405,11 +421,10 @@ def main(argv=None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = _config_from_args(args)
+        return run(_config_from_args(args))
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

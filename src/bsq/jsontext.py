@@ -6,8 +6,6 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _escape
 
-import numpy as np
-
 _INT = {int}
 
 
@@ -40,15 +38,21 @@ def _write(value, write, nl: str) -> None:
                 _write(item, write, inner)
             sep = "," + inner
         write(nl + "]")
-    elif kind is np.ndarray and value.ndim == 2 and value.dtype.kind == "c" and value.size:
+    elif (
+        # a numpy.ndarray, recognised without importing numpy
+        kind.__name__ == "ndarray" and kind.__module__ == "numpy"
+        and value.ndim == 2 and value.dtype.kind == "c" and value.size
+    ):
         _write_complex(value, write, nl)
     else:
         # NaN, infinities, bools, None, empty containers and anything else
         write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
 
 
-def _write_complex(matrix: np.ndarray, write, nl: str) -> None:
-    """A complex matrix as rows of [re, im] pairs, one row at a time."""
+def _write_complex(matrix, write, nl: str) -> None:
+    """A complex matrix (a numpy ndarray) as rows of [re, im] pairs, one row at a time."""
+    import numpy as np
+
     inner, row_nl, pair_nl = nl + "  ", nl + "    ", nl + "      "
     pair = "[" + pair_nl + "%r," + pair_nl + "%r" + row_nl + "]"
     template = "[" + row_nl + ("," + row_nl).join([pair] * matrix.shape[1]) + inner + "]"

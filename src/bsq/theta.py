@@ -32,8 +32,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TRUNCATION_CAP = 10**6
 DEFAULT_EPS = 1e-12
@@ -146,7 +148,7 @@ class ThetaBasisMatrix:
 
     def smallest_singular_value(self) -> float:
         """sqrt(k) * min_j |norm * c_j|, exact because F / sqrt(k) is unitary."""
-        return math.sqrt(self.k) * float(np.abs(self.nulls).min())
+        return math.sqrt(self.k) * float(abs(self.nulls).min())
 
     def log_smallest_singular_value(self) -> float:
         """Natural log of the smallest singular value, 0.5 * ln k + min_j ln|norm * c_j|."""
@@ -164,7 +166,7 @@ class ThetaBasisMatrix:
         """
         k = self.k
         phase = (1, 1j, -1, -1j)[(k * (k - 1) // 2 + (k - 1) ** 2) % 4]
-        return phase * complex(np.prod(math.sqrt(k) * self.nulls))
+        return phase * complex((math.sqrt(k) * self.nulls).prod())
 
 
 def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> ThetaBasisMatrix:
@@ -176,6 +178,8 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     one length-k vector per offset n, with N the window of w = 1, z = 0,
     which covers every class.  Raises ValueError when an entry is not finite.
     """
+    import numpy as np
+
     k = _level(k)
     tau = _tau_value(tau)
     norm = float(norm)

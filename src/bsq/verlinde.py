@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import mpmath
-import numpy as np
+if TYPE_CHECKING:
+    import mpmath
 
 # Documented aliases: a level is an integer k >= 1, a genus an integer g >= 1.
 QuantizationLevel = int
@@ -59,6 +60,8 @@ def working_precision(g: Genus, k: QuantizationLevel) -> int:
     n = 1, so the estimate is off by far less than a bit.  The terms are
     summed in blocks of _BLOCK, which bounds the memory at any level.
     """
+    import numpy as np
+
     _check_genus_and_level(g, k)
     kk = k + 2
     expo = 2 * g - 2
@@ -88,6 +91,8 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
     computed once and held in a list, about 150 bytes each (about 1.5 MB at
     k = 20,000); the compensated sum still runs over n = 1..k+1 in order.
     """
+    import mpmath
+
     _check_genus_and_level(g, k)
     if prec is None:
         prec = working_precision(g, k)

@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import bsq.cli
 from bsq import __version__
 from bsq.cli import main
 from bsq.jsontext import dump
@@ -51,6 +54,16 @@ def test_precision_env_override(capsys, monkeypatch):
     doc = run_json(capsys, "verlinde", "--genus", "2", "--level", "3")
     assert doc["parameters"]["precision"] == 192
     assert doc["dim"] == 20
+
+
+def test_precision_env_skips_the_default_precision(capsys, monkeypatch):
+    def unused(g, k):
+        raise AssertionError("working_precision ran although BSQ_PRECISION is set")
+
+    monkeypatch.setenv("BSQ_PRECISION", "192")
+    monkeypatch.setattr(bsq.cli, "working_precision", unused)
+    doc = run_json(capsys, "verlinde", "--genus", "2", "--level", "3")
+    assert doc["parameters"]["precision"] == 192
 
 
 @pytest.mark.parametrize("value", ["abc", "32", "0"])
@@ -142,6 +155,21 @@ def test_weights_malformed_graph_file_is_usage_error(capsys, tmp_path, text, mes
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_weights_unreadable_graph_file_is_usage_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "locked.graph"
+    path.write_text(graph_to_text(DUMBBELL_GRAPH))
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    # chmod cannot stop a superuser from reading, so the read itself is refused
+    monkeypatch.setattr(type(path), "read_text", refuse)
+    code, out, err = run_cli(capsys, "weights", "--graph", str(path), "--level", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {os.strerror(errno.EACCES)}\n"
 
 
 def test_weights_level_zero_is_usage_error(capsys):
@@ -284,6 +312,20 @@ def test_output_file_matches_stdout(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "target, reason",
+    [(os.path.join("missing-dir", "x.json"), errno.ENOENT), (".", errno.EISDIR)],
+)
+def test_unopenable_output_is_usage_error(capsys, tmp_path, target, reason):
+    path = tmp_path / target
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, "verlinde", "--genus", "2", "--level", "2", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {os.strerror(reason)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("theta-basis", "--level", "2", "--tau", "0,1e-18"),
@@ -331,6 +373,39 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 20
+
+
+BOTH = ("numpy", "mpmath")
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        pytest.param((), BOTH, id="import"),
+        pytest.param(("graphs", "--genus", "3"), BOTH, id="graphs"),
+        pytest.param(("weights", "--graph", "theta2", "--level", "3"), BOTH, id="weights"),
+        pytest.param(("weights", "--graph", "dumbbell2", "--level", "3", "--count-only"), BOTH, id="weights count"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0.7", "--grid", "50"), BOTH, id="ucurve"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0.5,0.5", "--grid", "50", "--format", "csv"), BOTH,
+                     id="ucurve csv"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0"), BOTH, id="ucurve zero fiber"),
+        pytest.param(("verify-jw", "--genus", "2", "--max-level", "3"), ("numpy",), id="verify-jw"),
+    ],
+)
+def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused):
+    # numpy and mpmath cost most of the start-up, so they load only where they are used
+    code = (
+        "import contextlib, io, sys\n"
+        "import bsq, bsq.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert bsq.cli.main(argv) == 0\n"
+        f"print(sorted(set({list(unused)!r}) & sys.modules.keys()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script():
