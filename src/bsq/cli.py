@@ -211,11 +211,12 @@ def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int = DEFAULT_
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
     rows = []
+    # the dimension depends on the genus and level, not on the graph
+    dims = [verlinde_dim(g, k, prec=prec).dim for k in range(1, max_k + 1)]
     for index, graph in enumerate(generate_trivalent(g)):
-        for k in range(1, max_k + 1):
+        for k, dim in enumerate(dims, start=1):
             max_numerator = k - 1 if open_range else None
             count = count_admissible(graph, k, max_numerator=max_numerator)
-            dim = verlinde_dim(g, k, prec=prec).dim
             rows.append(
                 {
                     "graph_index": index,

@@ -3,12 +3,16 @@
 Graphs are raw (vertex_count, edge list) pairs, bridges come from a naive
 remove-and-check scan, and admissible labelings are counted by exhaustive
 filtering with inline condition checks.  Slow on purpose.  Dimensions at
-larger levels come from the trace of a fusion-rule matrix power.
+larger levels come from the trace of a fusion-rule matrix power, and the
+Verlinde sum from a Neumaier loop over mpmath mpf objects.
 """
 
 import itertools
 
+import mpmath
 import numpy as np
+
+from bsq.verlinde import IntegralityFailure
 
 THETA2 = (2, [(0, 1), (0, 1), (0, 1)])
 DUMBBELL2 = (2, [(0, 0), (0, 1), (1, 1)])
@@ -81,3 +85,30 @@ def oracle_fusion_dimension(g, k):
     for _ in range(g - 1):
         power = power.dot(h)
     return int(sum(power.diagonal()))
+
+
+def oracle_verlinde_dim(g, k, prec):
+    """(dim, raw_sum, error_bound) of the Verlinde formula at prec bits, or
+    IntegralityFailure: the Neumaier-compensated sum run on mpf objects, one
+    rounded mpmath operation at a time, with the certificate of bsq.verlinde."""
+    kk = k + 2
+    expo = 2 * g - 2
+    with mpmath.workprec(prec):
+        prefactor = mpmath.mpf(kk) ** (g - 1) / mpmath.mpf(2) ** (g - 1)
+        terms = [mpmath.sinpi(mpmath.mpf(m) / kk) ** (-expo) for m in range(1, kk // 2 + 1)]
+        total = mpmath.mpf(0)
+        comp = mpmath.mpf(0)
+        for n in range(1, k + 2):
+            term = terms[min(n, kk - n) - 1]
+            t = total + term
+            if abs(total) >= abs(term):
+                comp += (total - t) + term
+            else:
+                comp += (term - t) + total
+            total = t
+        raw_sum = prefactor * (total + comp)
+        error_bound = float(raw_sum * mpmath.mpf(8 * g + 8) * mpmath.mpf(2) ** (-prec))
+        nearest = mpmath.nint(raw_sum)
+        if error_bound >= 0.5 or abs(raw_sum - nearest) > error_bound:
+            raise IntegralityFailure(f"g={g}, k={k} does not certify at {prec} bits")
+    return int(nearest), raw_sum, error_bound

@@ -390,6 +390,7 @@ BOTH = ("numpy", "mpmath")
                      id="ucurve csv"),
         pytest.param(("ucurve", "--level", "3", "--u", "0"), BOTH, id="ucurve zero fiber"),
         pytest.param(("verify-jw", "--genus", "2", "--max-level", "3"), ("numpy",), id="verify-jw"),
+        pytest.param(("verlinde", "--genus", "3", "--level", "50"), ("numpy",), id="verlinde BSQ_PRECISION=96"),
     ],
 )
 def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused):
@@ -403,7 +404,10 @@ def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused):
         "        assert bsq.cli.main(argv) == 0\n"
         f"print(sorted(set({list(unused)!r}) & sys.modules.keys()))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # a set precision spares verlinde the numpy estimate of working_precision;
+    # verify-jw runs at 96 bits either way and the other commands ignore it
+    env = dict(os.environ, BSQ_PRECISION="96")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

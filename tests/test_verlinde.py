@@ -1,9 +1,13 @@
+import math
+import random
+
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 
-from bsq.verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
+from bsq.verlinde import DEFAULT_PRECISION, IntegralityFailure, _round, verlinde_dim, working_precision
 
-from _oracles import DUMBBELL2, K4, THETA2, oracle_count, oracle_fusion_dimension
+from _oracles import DUMBBELL2, K4, THETA2, oracle_count, oracle_fusion_dimension, oracle_verlinde_dim
 
 
 @pytest.mark.parametrize(
@@ -128,3 +132,60 @@ def test_raw_sum_and_error_bound_are_pinned_bit_for_bit(g, k, mpf_bits, text, bo
     assert str(value.raw_sum._mpf_) == mpf_bits
     assert mpmath.nstr(value.raw_sum, 25) == text
     assert repr(value.error_bound) == bound
+
+
+# (2, 20000) captured from the mpf loop before the sum ran in integers.
+def test_raw_sum_at_level_20000_is_pinned_bit_for_bit():
+    value = verlinde_dim(2, 20000)
+    assert str(value.raw_sum._mpf_) == "(0, 48052808865184795746231123969, -55, 96)"
+    assert mpmath.nstr(value.raw_sum, 25) == "1333733370001.0"
+    assert repr(value.error_bound) == "4.0401796361566446e-16"
+
+
+def _differential_grid():
+    """Every genus 1..12 at k = 1, 2 and two levels drawn log-uniformly up to
+    3000, one with k + 2 odd and one with k + 2 even, plus the top of the range."""
+    rng = random.Random(2024)
+    grid = [(2, 2999), (12, 3000)]
+    for g in range(1, 13):
+        grid += [(g, 1), (g, 2)]
+        for parity in (0, 1):
+            k = int(math.exp(rng.uniform(math.log(3), math.log(2999))))
+            grid.append((g, k + (k + parity) % 2))
+    return grid
+
+
+@pytest.mark.parametrize("g, k", _differential_grid())
+def test_integer_sum_matches_the_mpf_loop_bit_for_bit(g, k):
+    for prec in sorted({64, 96, working_precision(g, k), 200}):
+        try:
+            expected = oracle_verlinde_dim(g, k, prec)
+        except IntegralityFailure:
+            with pytest.raises(IntegralityFailure):
+                verlinde_dim(g, k, prec=prec)
+            continue
+        value = verlinde_dim(g, k, prec=prec)
+        assert value.raw_sum._mpf_ == expected[1]._mpf_, (g, k, prec)
+        assert (value.dim, value.error_bound) == (expected[0], expected[2]), (g, k, prec)
+
+
+def _ties_and_widths(prec):
+    rng = random.Random(prec)
+    yield 0
+    for width in range(prec - 2, prec + 71):
+        x = rng.getrandbits(width) | 1 << (width - 1)
+        yield x
+        yield -x
+    for drop in (1, 2, 9, 70):
+        for kept in (1 << (prec - 1), (1 << (prec - 1)) + 1, (1 << prec) - 1, (1 << prec) - 2):
+            tie = (kept << drop) + (1 << (drop - 1))   # exactly half way, kept odd or even
+            yield tie
+            yield -tie
+            yield tie + 1
+            yield tie - 1
+
+
+@pytest.mark.parametrize("prec", [64, 96, 200])
+def test_round_is_mpmath_round_half_even(prec):
+    for x in _ties_and_widths(prec):
+        assert from_man_exp(_round(x, prec), 0) == from_man_exp(x, 0, prec, "n"), (x, prec)
