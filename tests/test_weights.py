@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import _oracles
-from bsq.trigraph import DUMBBELL_GRAPH, THETA_GRAPH, TrivalentGraph, generate_trivalent
+import bsq.weights as weights_module
+from bsq.trigraph import DUMBBELL_GRAPH, THETA_GRAPH, TrivalentGraph, bridges, generate_trivalent
 from bsq.verlinde import verlinde_dim
 from bsq.weights import (
     ShapeMismatch,
@@ -167,3 +169,81 @@ def test_genus4_spot_check_against_dimension():
     # acceptance suite at lower genus
     graph = generate_trivalent(4)[0]
     assert count_admissible(graph, 2) == verlinde_dim(4, 2).dim
+
+
+def _shuffled(graph, rng):
+    """The same graph with its vertices renumbered and its edges reordered."""
+    perm = list(range(graph.vertex_count))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) for a, b in graph.edges]
+    rng.shuffle(edges)
+    return TrivalentGraph(graph.vertex_count, tuple(edges))
+
+
+def _search_steps(graph, k, monkeypatch):
+    """How many vertex checks count_admissible makes, and its count."""
+    calls = []
+    check = weights_module._vertex_conditions
+
+    def counted(ends, level):
+        calls.append(None)
+        return check(ends, level)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weights_module, "_vertex_conditions", counted)
+        count = count_admissible(graph, k)
+    return len(calls), count
+
+
+@pytest.mark.parametrize("g, k", [(3, 4), (3, 8), (4, 4)])
+def test_search_cost_does_not_depend_on_the_labelling(g, k, monkeypatch):
+    # the greedy order alone varied up to 2.5-fold in steps over such
+    # relabellings; the searched order is chosen from the structure
+    rng = random.Random(1000 * g + k)
+    dim = verlinde_dim(g, k).dim
+    graphs = generate_trivalent(g)
+    # at genus 4, to keep the test short, four classes whose greedy cost
+    # varied about 2-fold
+    for graph in graphs if g == 3 else [graphs[i] for i in (7, 8, 9, 10)]:
+        steps, count = _search_steps(graph, k, monkeypatch)
+        assert count == dim
+        for _ in range(3):
+            assert _search_steps(_shuffled(graph, rng), k, monkeypatch) == (steps, dim), graph.edges
+
+
+def test_passing_triples_match_the_vertex_conditions():
+    for k in range(1, 9):
+        for max_numerator in range(k + 1):
+            values = range(max_numerator + 1)
+            triples = [(x, y, z) for x in values for y in values for z in values]
+            brute = sum(1 for ends in triples if not weights_module._vertex_conditions(ends, k))
+            assert weights_module._passing_triples(k, max_numerator) == brute
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_edge_order_is_a_permutation_of_the_edges(k):
+    for g in (2, 3, 4):
+        for graph in generate_trivalent(g):
+            inc = weights_module._incidence(graph)
+            order = weights_module._edge_order(graph, inc, bridges(graph), k, k)
+            assert sorted(order) == list(range(len(graph.edges)))
+
+
+def test_genus4_counts_match_the_dimension_at_level_4():
+    dim = verlinde_dim(4, 4).dim
+    rng = random.Random(4)
+    for graph in generate_trivalent(4):
+        assert count_admissible(_shuffled(graph, rng), 4) == dim, graph.edges
+
+
+def test_graphs_above_the_order_search_cap_take_the_greedy_order():
+    # the prism over a hexagon: 12 vertices, genus 7
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    edges += [(i, i + 6) for i in range(6)]
+    graph = TrivalentGraph(12, tuple(edges))
+    assert graph.vertex_count > weights_module._ORDER_SEARCH_MAX_VERTICES
+    inc = weights_module._incidence(graph)
+    order = weights_module._edge_order(graph, inc, bridges(graph), 3, 3)
+    assert order == weights_module._greedy_edge_order(graph)
+    assert count_admissible(graph, 1) == verlinde_dim(7, 1).dim == 2**7
