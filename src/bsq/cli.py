@@ -12,6 +12,7 @@ bits, at least 96, that certify its dimension, and verify-jw uses 96.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -287,7 +288,9 @@ def run(config: RunConfig) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later main() of the process."""
     parser = argparse.ArgumentParser(
         prog="bsq",
         description="Bohr-Sommerfeld quantization toolkit",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 
 _INT = {int}
 
@@ -27,6 +28,8 @@ def _write(value, write, nl: str) -> None:
             sep = "," + inner
         write(nl + "}")
     elif kind is list and value:
+        if type(value[0]) is dict and _write_records(value, write, nl):
+            return
         comma, head, tail = "," + inner + "  ", "[" + inner + "  ", inner + "]"
         sep = "[" + inner
         for item in value:
@@ -47,6 +50,67 @@ def _write(value, write, nl: str) -> None:
     else:
         # NaN, infinities, bools, None, empty containers and anything else
         write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _scalars(column: list):
+    """The %-slot and %-argument column for one scalar per record, or None.
+
+    A column qualifies when its values are all finite floats, all ints or all
+    strings.  Floats are finite when their sum is; a sum of finite floats that
+    overflows only sends the list the slow way.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return ("%r", column) if math.isfinite(sum(column)) else None
+    if kinds == {int}:
+        return "%d", column
+    if kinds == {str}:
+        return "%s", list(map(_escape, column))
+    return None
+
+
+def _write_records(records: list, write, nl: str) -> bool:
+    """Write a list of like records from one %-template, or return False having written nothing.
+
+    Like records are dicts with the same str keys whose values under each key
+    are all scalars of one kind (see _scalars), or all non-empty flat lists of
+    them of one length.  The template is built once from the first record, and
+    the arguments are gathered column by column.
+    """
+    first = records[0]
+    if not first or set(map(type, records)) != {dict} or set(map(len, records)) != {len(first)}:
+        return False
+    if not all(type(key) is str for key in first):
+        return False
+    field_nl, item_nl = nl + "    ", nl + "      "
+    fields, columns = [], []
+    for key in sorted(first):
+        try:
+            column = list(map(itemgetter(key), records))
+        except KeyError:
+            return False
+        nested = type(first[key]) is list
+        if nested:
+            width = len(first[key])
+            if not width or set(map(type, column)) != {list} or set(map(len, column)) != {width}:
+                return False
+            parts = [_scalars(list(map(itemgetter(j), column))) for j in range(width)]
+        else:
+            parts = [_scalars(column)]
+        if None in parts:
+            return False
+        slots = [slot for slot, _ in parts]
+        text = "[" + item_nl + ("," + item_nl).join(slots) + field_nl + "]" if nested else slots[0]
+        fields.append(_escape(key).replace("%", "%%") + ": " + text)
+        columns += [args for _, args in parts]
+    inner = nl + "  "
+    template = "{" + field_nl + ("," + field_nl).join(fields) + inner + "}"
+    sep = "[" + inner
+    for row in zip(*columns):
+        write(sep + template % row)
+        sep = "," + inner
+    write(nl + "]")
+    return True
 
 
 def _write_complex(matrix, write, nl: str) -> None:
@@ -72,9 +136,11 @@ def dump(value, write) -> None:
 
     CPython's C encoder does not run when indent is set, and json.dumps joins
     the whole text before returning it.  Here a container is written item by
-    item, a flat list of ints with one repr, and a complex matrix (an ndarray,
-    which json cannot write) as rows of [re, im] pairs with one %-template per
-    row, so the text held at once is about one row.  int and float are written
+    item, a flat list of ints with one repr, a list of like records (such as
+    the points of a u-curve slice) one record at a time from one %-template,
+    and a complex matrix (an ndarray, which json cannot write) as rows of
+    [re, im] pairs with one %-template per row, so the text held at once is
+    about one row.  int and float are written
     with int.__repr__ and float.__repr__, as json writes them; the type checks
     are exact, so bool and float subclasses are not covered.  NaN, infinities
     and every other value go through json itself.

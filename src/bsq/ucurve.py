@@ -3,14 +3,16 @@
 A point (b, s) sits on the level-u locus when k*b + u*s is an integer m (the
 branch).  At u = 0 the locus collapses to the k real fiber points b = j/k;
 for u != 0 the tracer samples the one-dimensional slice with s real in a
-window, scanning b over a grid and taking for each branch the real s in the
-window that minimises the residual |k*b + u*s - m|.  The squared residual
-is a convex quadratic in s, so the minimiser is closed-form:
+window, with b on a grid, taking for each branch the real s in the window
+that minimises the residual |k*b + u*s - m|.  The squared residual is a
+convex quadratic in s, so the minimiser is closed-form:
 s* = clip((m - k*b) * Re(u) / |u|^2, s_min, s_max).  For real u it is the
 exact root (m - k*b)/u clipped to the window; for non-real u and small tol
-the slice with real s collapses to s = 0, b = m/k.  The order-k deck translation
-b -> b + 1/k (mod 1), m -> m + 1 (adjusted on wraparound) permutes every
-level set.
+the slice with real s collapses to s = 0, b = m/k.  The least residual is
+convex in b, so each branch keeps one interval of grid points, found exactly
+by bisection; the tracer never visits the grid points it does not keep.  The
+order-k deck translation b -> b + 1/k (mod 1), m -> m + 1 (adjusted on
+wraparound) permutes every level set.
 
 b coordinates are kept as exact fractions wherever the model produces them,
 so translation orbits close exactly; the residual functions accept any real b.
@@ -23,10 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Relative size of a band around tol, far wider than the rounding error of the
-# double residual, inside which the on-locus test is decided in rationals.
-_TIE_BAND = 1e-12
-
 
 @dataclass(frozen=True)
 class SupercyclePoint:
@@ -38,10 +36,14 @@ class SupercyclePoint:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "u", complex(self.u))
-        if not 0 <= self.b < 1:
-            raise ValueError(f"b must lie in [0, 1), got {self.b}")
+        if type(self.s) is not complex:
+            object.__setattr__(self, "s", complex(self.s))
+        if type(self.u) is not complex:
+            object.__setattr__(self, "u", complex(self.u))
+        b = self.b
+        # a Fraction's denominator is positive, so this is 0 <= b < 1 without a Fraction comparison
+        if not (0 <= b.numerator < b.denominator if type(b) is Fraction else 0 <= b < 1):
+            raise ValueError(f"b must lie in [0, 1), got {b}")
         if not isinstance(self.m, int):
             raise ValueError(f"branch m must be an integer, got {self.m!r}")
 
@@ -97,31 +99,81 @@ def _minimize_residual(c: float, u: complex, lo: float, hi: float) -> float:
     return min(max(vertex, lo), hi) + 0.0
 
 
-def _exact_residual_below(c: Fraction, u: complex, lo: float, hi: float, tol: float) -> bool:
-    """Whether min over s in [lo, hi] of |c + u*s| is below tol, in rationals.
+def _exact_test(u: complex, lo: float, hi: float, tol: float, grid: int):
+    """The on-locus test as a function of the integer C: whether the least |c + u*s|
+    over s in [lo, hi] is below tol at c = C/grid.
 
-    u, lo, hi and tol are taken at their binary values.
+    It is exact at the binary values of u, lo, hi and tol: each is written as
+    an integer over one common denominator L, and the clip of
+    _minimize_residual and the comparison with tol^2 are multiplied out to
+    integer comparisons.
     """
-    ur, ui = Fraction(u.real), Fraction(u.imag)
-    s = min(max(-c * ur / (ur * ur + ui * ui), Fraction(lo)), Fraction(hi))
-    return (c + ur * s) ** 2 + (ui * s) ** 2 < Fraction(tol) ** 2
+    values = [Fraction(x) for x in (u.real, u.imag, lo, hi, tol)]
+    scale = math.lcm(*(v.denominator for v in values))
+    ur, ui, lo_l, hi_l, tol_l = (v.numerator * (scale // v.denominator) for v in values)
+    square = scale * scale
+    q = ur * ur + ui * ui  # |u|^2 L^2
+    lo_side, hi_side = lo_l * grid * q, hi_l * grid * q
+    vertex_bound, end_bound = (tol_l * grid) ** 2 * q, (tol_l * grid * scale) ** 2
+
+    def below(numerator: int) -> bool:
+        # the vertex -c Re(u) / |u|^2 times L * grid * q, the factor of lo_side and hi_side
+        side = -numerator * ur * square
+        if lo_side <= side <= hi_side:
+            # at the vertex, |c + u*s|^2 = c^2 Im(u)^2 / |u|^2
+            return (numerator * ui) ** 2 * square < vertex_bound
+        end = lo_l if side < lo_side else hi_l
+        return (numerator * square + ur * end * grid) ** 2 + (ui * end * grid) ** 2 < end_bound
+
+    return below
+
+
+def _kept_interval(on, star: Fraction, grid: int) -> range:
+    """The grid indices i with on(i), given that they form one interval in which
+    a real i* is a point of least residual.
+
+    If any index is kept, floor(i*) or ceil(i*), clipped to the grid, is kept
+    too.  Each end is then bisected between a kept index and an index that is
+    not kept, or lies just outside the grid.
+    """
+    anchors = [i for i in {min(max(math.floor(star), 0), grid - 1), min(max(math.ceil(star), 0), grid - 1)} if on(i)]
+    if not anchors:
+        return range(0)
+    ends = []
+    for outside in (-1, grid):
+        kept = anchors[0]
+        while abs(outside - kept) > 1:
+            mid = (kept + outside) // 2
+            if on(mid):
+                kept = mid
+            else:
+                outside = mid
+        ends.append(kept)
+    return range(ends[0], ends[1] + 1)
 
 
 def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, tol: float) -> UCurveSlice:
     """Sample the level-u locus over b in [0,1) with s real in s_window.
 
-    For every integer branch m reachable in the window and each of the `grid`
-    values b = i/grid, s is the exact minimiser over the window of
-    |k*b + u*s - m| (see _minimize_residual), and the candidate is on the
-    locus when that smallest residual is below tol.  This test is exact at
-    the binary values of u, s_window and tol: a double residual within
-    rounding distance of tol is decided again in rationals.  For real u the
-    slice thus holds exactly the grid pairs whose root (m - k*b)/u lies in
-    s_window widened by tol/|u|.  Candidates closer than 10*tol in
-    both b and s are deduplicated: sorted by (b, |s|, m), a candidate is
-    dropped when an earlier kept one lies within 10*tol in both coordinates.
-    Since s is the exact minimiser, the output depends only on the
-    arguments.  Output is sorted by (m, b, |s|), with b an exact Fraction.
+    For every integer branch m reachable in the window widened by tol and
+    each of the `grid` values b = i/grid, s is the exact minimiser over the
+    window of |k*b + u*s - m| (see _minimize_residual), and the candidate is
+    on the locus when that smallest residual is below tol, decided exactly at
+    the binary values of u, s_window and tol (_exact_test).  For real u
+    the slice thus holds exactly the grid pairs whose root (m - k*b)/u lies
+    in s_window widened by tol/|u|.
+
+    The smallest residual is convex in b on each branch, so the kept indices
+    of a branch form one interval: it is found from the index nearest the
+    minimum and two bisections (_kept_interval), and only its points are
+    made.  The cost is O(branches * log grid) exact tests plus the points
+    kept.
+
+    Candidates closer than 10*tol in both b and s are deduplicated: sorted by
+    (b, |s|, m), a candidate is dropped when an earlier kept one lies within
+    10*tol in both coordinates.  Since s is the exact minimiser, the output
+    depends only on the arguments.  Output is sorted by (m, b, |s|), with b
+    an exact Fraction.
     """
     _check_level(k)
     u = complex(u)
@@ -135,21 +187,22 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    corners = [k * bb + u.real * s for bb in (0.0, 1.0) for s in (lo, hi)]
+    # |k*b - m + Re(u)*s| <= |k*b + u*s - m| < tol, so m lies within tol of a
+    # corner value k*b + Re(u)*s with b in [0, 1] and s in the window
+    ur, t = Fraction(u.real), Fraction(tol)
+    corners = [k * bb + ur * Fraction(s) for bb in (0, 1) for s in (lo, hi)]
+    below = _exact_test(u, lo, hi, tol, grid)
+    # over c and s together |c + u*s| is least at s = clip(0, lo, hi), c = -Re(u)*s
+    least_c = -ur * Fraction(min(max(0.0, lo), hi))
     # candidates as (b, |s|, m, s, i) with b = i / grid, the double nearest to
     # Fraction(i, grid); the Fraction is made only for the points kept
     candidates = []
-    for m in range(math.ceil(min(corners)), math.floor(max(corners)) + 1):
-        for i in range(grid):
-            c = (k * i - m * grid) / grid
-            s = _minimize_residual(c, u, lo, hi)
-            r = math.hypot(c + u.real * s, u.imag * s)
-            if abs(r - tol) <= _TIE_BAND * (abs(c) + abs(u) * abs(s) + tol):
-                on_locus = _exact_residual_below(Fraction(k * i - m * grid, grid), u, lo, hi, tol)
-            else:
-                on_locus = r < tol
-            if on_locus:
-                candidates.append((i / grid, abs(s), m, s, i))
+    for m in range(math.ceil(min(corners) - t), math.floor(max(corners) + t) + 1):
+        # c = (k*i - m*grid)/grid is affine in i, and the least |c + u*s| over s is convex in c
+        on = lambda i: below(k * i - m * grid)
+        for i in _kept_interval(on, (m + least_c) * grid / k, grid):
+            s = _minimize_residual((k * i - m * grid) / grid, u, lo, hi)
+            candidates.append((i / grid, abs(s), m, s, i))
 
     # dedup at 10*tol in both coordinates, preferring smaller b then smaller |s|
     candidates.sort()

@@ -4,10 +4,14 @@ Graphs are raw (vertex_count, edge list) pairs, bridges come from a naive
 remove-and-check scan, and admissible labelings are counted by exhaustive
 filtering with inline condition checks.  Slow on purpose.  Dimensions at
 larger levels come from the trace of a fusion-rule matrix power, and the
-Verlinde sum from a Neumaier loop over mpmath mpf objects.
+Verlinde sum from a Neumaier loop over mpmath mpf objects.  The u-curve
+slice comes from every (branch, grid index) pair, each minimised over the
+s-window in rationals.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -112,3 +116,31 @@ def oracle_verlinde_dim(g, k, prec):
         if error_bound >= 0.5 or abs(raw_sum - nearest) > error_bound:
             raise IntegralityFailure(f"g={g}, k={k} does not certify at {prec} bits")
     return int(nearest), raw_sum, error_bound
+
+
+def oracle_ucurve_candidates(k, u, window, grid, tol):
+    """Every (b, s, m) with b = i/grid whose least |k*b + u*s - m| over real s in
+    the window is below tol, s the least point as a float, before dedup.
+
+    A brute force over every grid index and every branch m with |m| <= k +
+    |u|*max(|lo|, |hi|) + tol + 1, far more than can reach the window.  The
+    residual squared, |u|^2 s^2 + 2 c Re(u) s + c^2 with c = k*b - m, is
+    compared in rationals at the ends of the window and at its stationary
+    point when that lies inside.  u, the window and tol count at their
+    binary values.
+    """
+    ur, ui, t = Fraction(u.real), Fraction(u.imag), Fraction(tol)
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    reach = k + math.ceil(math.hypot(u.real, u.imag) * max(abs(window[0]), abs(window[1])) + tol) + 1
+    found = []
+    for m in range(-reach, reach + 1):
+        for i in range(grid):
+            b = Fraction(i, grid)
+            c = k * b - m
+            squared = lambda s: (c + ur * s) ** 2 + (ui * s) ** 2
+            stationary = -c * ur / (ur * ur + ui * ui)
+            trial = [lo, hi] + ([stationary] if lo < stationary < hi else [])
+            best = min(trial, key=squared)
+            if squared(best) < t * t:
+                found.append((b, float(best), m))
+    return found

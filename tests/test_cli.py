@@ -365,6 +365,25 @@ def test_usage_exit_codes_from_argparse(capsys):
     assert __version__ in out
 
 
+def test_one_process_answers_each_call_as_a_fresh_one(capsys):
+    # the parser is built once per process; calls after a usage error, --version
+    # and a domain error must not see anything an earlier call left behind
+    sequence = [
+        ["verlinde"],
+        ["--version"],
+        ["theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.79e308"],
+        ["ucurve", "--level", "3", "--u", "0.7", "--grid", "20"],
+        ["ucurve", "--level", "3", "--u", "0.7", "--grid", "1"],
+        ["verlinde"],
+        ["ucurve", "--level", "3", "--u", "0.7", "--grid", "20"],
+    ]
+    for argv in sequence:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "bsq", *argv], capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert bsq.cli._build_parser() is bsq.cli._build_parser()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bsq", "verlinde", "--genus", "2", "--level", "3"],
@@ -517,6 +536,11 @@ EDGE_BODIES = [
         {"b": 1.0, "b_exact": "1", "s": [0.0, 0.0], "m": 3, "extra": []},
         {"b": 2.0, "b_exact": "2", "s": [1.0, 2.0], "m": 4},
     ]},
+    {"points": [
+        {"%d": "%s", "b": -0.0, "s": [5e-324, 10**30], "\u00e9": "\u2603 \"q\" \\"},
+        {"%d": "%%", "b": 1e308, "s": [1.5, -7], "\u00e9": ""},
+    ]},
+    {"points": [{"b": 1e308, "m": 1}, {"b": 1e308, "m": 2}], "rows": [{"a": [1.0]}, {"a": [1.0, 2.0]}]},
     {"nested": [{"a": [[1, 2], [3, 4]]}, {"a": {}}, [[[]]], {}, 1, "x", 2.5]},
     [],
     {},

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _oracles import oracle_ucurve_candidates
 
 from bsq.cli import main
 from bsq.ucurve import (
@@ -231,6 +232,50 @@ def test_coarse_tolerance_dedups_the_exact_root_set(capsys, level, u):
     assert [(Fraction(p["b_exact"]), p["m"]) for p in doc["points"]] == [(b, m) for b, _, m in want]
     for p, (_, s, _) in zip(doc["points"], want):
         assert abs(p["s"][0] - s) < 1e-13 and p["s"][1] == 0.0
+
+
+def complex_u_configs(seed, n):
+    rng = random.Random(seed)
+    for index in range(n):
+        k = rng.randint(1, 4)
+        u = complex(rng.uniform(-2.0, 2.0), rng.choice([-1, 1]) * 10 ** rng.uniform(-4.0, 0.2))
+        if index % 3 == 0:  # a window on one side of 0
+            ends = sorted((rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)))
+            window = tuple(ends) if rng.random() < 0.5 else (-ends[1], -ends[0])
+        else:
+            window = (rng.uniform(-2.0, -0.05), rng.uniform(0.05, 2.0))
+        yield k, u, window, rng.choice([2, 3, 10, 24, 60]), rng.choice([1e-9, 1e-3, 0.01, 0.05, 0.3])
+
+
+def test_trace_equals_the_brute_force_oracle_for_complex_u():
+    # every (branch, grid index) pair minimised in rationals, then the dedup rule
+    kept = dropped = 0
+    for k, u, window, grid, tol in complex_u_configs(20261019, 40):
+        candidates = oracle_ucurve_candidates(k, u, window, grid, tol)
+        want = dedup_rule(candidates, tol)
+        slc = trace_slice(k, u, window, grid, tol)
+        config = (k, u, window, grid, tol)
+        assert [(p.b, p.m) for p in slc.points] == [(b, m) for b, _, m in want], config
+        for p, (_, s, _) in zip(slc.points, want):
+            assert p.s.imag == 0.0 and abs(p.s.real - s) < 1e-12, config
+        kept += len(want)
+        dropped += len(candidates) - len(want)
+    assert kept > 100 and dropped > 100  # the configurations reach both the locus and the dedup
+
+
+def test_trace_of_a_complex_u_at_a_million_grid_points_is_the_rational_fiber():
+    # the residual at s is at least |Im(u) s|, so only s = 0, b = m/k survive
+    k, grid = 4, 10**6
+    slc = trace_slice(k, 0.5 + 0.5j, (-2.0, 2.0), grid, 1e-9)
+    assert [(p.b, p.s, p.m) for p in slc.points] == [(Fraction(m, k), 0j, m) for m in range(k)]
+
+
+def test_trace_keeps_branches_reached_only_within_tol_of_a_window_corner():
+    # k*b + u*s is -1.9999999999 at the corner b = 0, s = s_min: within tol of
+    # the branch m = -2, which lies below the ceiling of every corner value
+    slc = trace_slice(1, 1 + 0j, (-1.9999999999, 2.0), 10, 1e-9)
+    assert (Fraction(0), -2) in {(p.b, p.m) for p in slc.points}
+    assert {(p.b, p.m) for p in slc.points} == exact_root_set(1, 1 + 0j, (-1.9999999999, 2.0), 10, 1e-9)
 
 
 def test_trace_argument_validation():
