@@ -5,8 +5,8 @@ Each run validates its parameters, then writes exactly one JSON (or CSV)
 document.  Exit codes: 0 success, 1 domain error (JSON error object on
 stderr), 2 usage error (nothing emitted).  Identical configurations produce
 byte-identical output.  The environment variable BSQ_PRECISION overrides the
-Verlinde working precision in bits; without it, verlinde uses the fewest
-bits, at least 96, that certify its dimension, and verify-jw uses 96.
+Verlinde working precision in bits; without it, verlinde and verify-jw use
+the fewest bits, at least 96, that certify the dimension at their top level.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .jsontext import dump
 from .theta import TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
-from .verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
+from .verlinde import MIN_PRECISION, IntegralityFailure, verlinde_dim, working_precision
 from .weights import ShapeMismatch, count_admissible, enumerate_admissible
 
 
@@ -53,30 +53,30 @@ def _parse_complex(text: str, name: str) -> complex:
     raise UsageError(f"{name} must look like 'RE,IM' or 'RE' with finite parts, got {text!r}")
 
 
-def _precision_from_env() -> int | None:
-    """The bit count in BSQ_PRECISION, or None when it is unset."""
+def _precision(genus: int, level: int) -> int:
+    """BSQ_PRECISION's bit count, else working_precision(genus, level), which also certifies lower levels."""
     raw = os.environ.get("BSQ_PRECISION")
     if raw is None:
-        return None
+        return working_precision(genus, level)
     try:
         prec = int(raw)
     except ValueError:
         raise UsageError(f"BSQ_PRECISION must be an integer bit count, got {raw!r}")
-    if prec < 64:
-        raise UsageError(f"BSQ_PRECISION must be >= 64 bits, got {prec}")
+    if prec < MIN_PRECISION:
+        raise UsageError(f"BSQ_PRECISION must be >= {MIN_PRECISION} bits, got {prec}")
     return prec
 
 
 def _resolve_graph(name_or_path: str) -> TrivalentGraph:
     """A --graph value is a builtin name (theta2, dumbbell2) or a file path."""
     path = Path(name_or_path)
-    if path.is_file():
-        try:
+    try:  # is_file itself raises for a name the file system refuses, such as one too long
+        if path.is_file():
             return parse_graph_text(path.read_text())
-        except OSError as exc:
-            raise UsageError(f"{name_or_path}: {exc.strerror}") from None
-        except ValueError as exc:
-            raise UsageError(f"{name_or_path}: {exc}") from None
+    except OSError as exc:
+        raise UsageError(f"{name_or_path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"{name_or_path}: {exc}") from None
     if name_or_path in BUILTIN_GRAPHS:
         return BUILTIN_GRAPHS[name_or_path]
     raise UsageError(
@@ -201,16 +201,18 @@ def _cmd_ucurve(config: RunConfig):
     return _document(config, body), 0
 
 
-def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int = DEFAULT_PRECISION):
+def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = None):
     """Compare count_admissible with verlinde_dim on every genus-g graph.
 
     Returns (rows, all_match).  open_range restricts numerators to 0..k-1,
-    the deliberately broken variant kept as a negative control.
+    the deliberately broken variant kept as a negative control.  prec is the
+    working precision of every dimension; by default working_precision(g, max_k).
     """
     if g not in (2, 3):
         raise ValueError(f"genus must be 2 or 3 at desk scale, got {g!r}")
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
+    prec = working_precision(g, max_k) if prec is None else prec
     rows = []
     # the dimension depends on the genus and level, not on the graph
     dims = [verlinde_dim(g, k, prec=prec).dim for k in range(1, max_k + 1)]
@@ -358,10 +360,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if sc == "verlinde":
         if args.genus < 1:
             raise UsageError(f"--genus must be >= 1, got {args.genus}")
-        prec = _precision_from_env()
-        if prec is None:
-            prec = working_precision(args.genus, args.level)
-        p = {"genus": args.genus, "level": args.level, "precision": prec}
+        p = {"genus": args.genus, "level": args.level, "precision": _precision(args.genus, args.level)}
     elif sc == "graphs":
         if args.genus < 2:
             raise UsageError(f"--genus must be >= 2 for graph generation, got {args.genus}")
@@ -411,7 +410,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             "genus": args.genus,
             "max_level": args.max_level,
             "open_weight_range": bool(args.open_weight_range),
-            "precision": _precision_from_env() or DEFAULT_PRECISION,
+            "precision": _precision(args.genus, args.max_level),
         }
 
     return RunConfig(subcommand=sc, parameters=p, output=args.output, format=fmt)

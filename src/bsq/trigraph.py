@@ -34,6 +34,8 @@ class TrivalentGraph:
         object.__setattr__(self, "edges", edges)
         if self.vertex_count < 2:
             raise ValueError("need at least 2 vertices")
+        if 2 * len(edges) != 3 * self.vertex_count:  # before the degree list is allocated
+            raise ValueError(f"not trivalent: {len(edges)} edges on {self.vertex_count} vertices, need 2|E| = 3|V|")
         deg = [0] * self.vertex_count
         for a, b in edges:
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):

@@ -13,10 +13,10 @@ gives the same raw sum bit for bit.  An explicit rounding-error budget of
 (8g + 8) * 2^-prec relative certifies that the nearest integer is the exact
 value.  The working precision prec is given by the caller (never below 64
 bits) or, by default, chosen before the sum from a double-precision
-estimate of its size: the fewest bits, and at least 96, at which the budget
-certifies.  If the certificate fails the computation raises instead of
-returning a non-integral answer.  No exact cyclotomic arithmetic is
-attempted here.
+estimate of its size, in math alone and over the same folded half of the
+terms: the fewest bits, and at least 96, at which the budget certifies.  If
+the certificate fails the computation raises instead of returning a
+non-integral answer.  No exact cyclotomic arithmetic is attempted here.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ Genus = int
 
 DEFAULT_PRECISION = 96
 MIN_PRECISION = 64
-_BLOCK = 1 << 16
 
 
 class IntegralityFailure(ArithmeticError):
@@ -77,20 +76,18 @@ def working_precision(g: Genus, k: QuantizationLevel) -> int:
 
     The certificate needs (8g + 8) * 2^-prec * raw_sum < 0.5.  log2(raw_sum)
     is estimated in double precision relative to the largest term, the one at
-    n = 1, so the estimate is off by far less than a bit.  The terms are
-    summed in blocks of _BLOCK, which bounds the memory at any level.
+    n = 1, so the estimate is off by far less than a bit.  Terms n and k+2-n
+    are equal, so the sum runs over m = 1..(k+2)//2 and counts each term
+    twice, except the middle one when k is even.  It holds one term at a
+    time, so the estimate needs no memory that grows with k.
     """
-    import numpy as np
-
     _check_genus_and_level(g, k)
     kk = k + 2
     expo = 2 * g - 2
-    top = -expo * math.log2(math.sin(math.pi / kk))
-    total = 0.0
-    for start in range(1, k + 2, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, k + 2))
-        logs = -expo * np.log2(np.sin(np.pi * np.minimum(n, kk - n) / kk))
-        total += float(np.exp2(logs - top).sum())
+    base = math.sin(math.pi / kk)
+    top = -expo * math.log2(base)
+    half = sum((base / math.sin(math.pi * m / kk)) ** expo for m in range(1, kk // 2 + 1))
+    total = 2 * half - (base**expo if kk % 2 == 0 else 0)
     log2_raw = (g - 1) * math.log2(kk / 2) + top + math.log2(total)
     # the budget equals 0.5 * 2^(need - prec)
     need = log2_raw + math.log2(8 * g + 8) + 1

@@ -146,6 +146,8 @@ def test_weights_unknown_graph_is_usage_error(capsys):
         ("v 2\ne 0 1 1\n", "line 2: cannot parse"),
         ("e 0 1\n", "line 1: edge before vertex count"),
         ("# nothing\n", "missing 'v <count>' line"),
+        # rejected by the edge count before a degree list of that length is allocated
+        ("v 100000000000000000000\ne 0 1\n", "not trivalent"),
     ],
 )
 def test_weights_malformed_graph_file_is_usage_error(capsys, tmp_path, text, message):
@@ -155,6 +157,14 @@ def test_weights_malformed_graph_file_is_usage_error(capsys, tmp_path, text, mes
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_weights_graph_name_too_long_for_a_path_is_usage_error(capsys):
+    name = "a" * 5000  # beyond NAME_MAX, so even asking whether the file exists fails
+    code, out, err = run_cli(capsys, "weights", "--graph", name, "--level", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name}: ")
 
 
 def test_weights_unreadable_graph_file_is_usage_error(capsys, tmp_path, monkeypatch):
@@ -398,21 +408,23 @@ BOTH = ("numpy", "mpmath")
 
 
 @pytest.mark.parametrize(
-    "argv, unused",
+    "argv, unused, precision",
     [
-        pytest.param((), BOTH, id="import"),
-        pytest.param(("graphs", "--genus", "3"), BOTH, id="graphs"),
-        pytest.param(("weights", "--graph", "theta2", "--level", "3"), BOTH, id="weights"),
-        pytest.param(("weights", "--graph", "dumbbell2", "--level", "3", "--count-only"), BOTH, id="weights count"),
-        pytest.param(("ucurve", "--level", "3", "--u", "0.7", "--grid", "50"), BOTH, id="ucurve"),
-        pytest.param(("ucurve", "--level", "3", "--u", "0.5,0.5", "--grid", "50", "--format", "csv"), BOTH,
+        pytest.param((), BOTH, None, id="import"),
+        pytest.param(("graphs", "--genus", "3"), BOTH, None, id="graphs"),
+        pytest.param(("weights", "--graph", "theta2", "--level", "3"), BOTH, None, id="weights"),
+        pytest.param(("weights", "--graph", "dumbbell2", "--level", "3", "--count-only"), BOTH, None,
+                     id="weights count"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0.7", "--grid", "50"), BOTH, None, id="ucurve"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0.5,0.5", "--grid", "50", "--format", "csv"), BOTH, None,
                      id="ucurve csv"),
-        pytest.param(("ucurve", "--level", "3", "--u", "0"), BOTH, id="ucurve zero fiber"),
-        pytest.param(("verify-jw", "--genus", "2", "--max-level", "3"), ("numpy",), id="verify-jw"),
-        pytest.param(("verlinde", "--genus", "3", "--level", "50"), ("numpy",), id="verlinde BSQ_PRECISION=96"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0"), BOTH, None, id="ucurve zero fiber"),
+        pytest.param(("verify-jw", "--genus", "2", "--max-level", "3"), ("numpy",), None, id="verify-jw"),
+        pytest.param(("verlinde", "--genus", "3", "--level", "50"), ("numpy",), None, id="verlinde"),
+        pytest.param(("verlinde", "--genus", "3", "--level", "50"), ("numpy",), "96", id="verlinde BSQ_PRECISION=96"),
     ],
 )
-def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused):
+def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused, precision):
     # numpy and mpmath cost most of the start-up, so they load only where they are used
     code = (
         "import contextlib, io, sys\n"
@@ -423,9 +435,11 @@ def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused):
         "        assert bsq.cli.main(argv) == 0\n"
         f"print(sorted(set({list(unused)!r}) & sys.modules.keys()))\n"
     )
-    # a set precision spares verlinde the numpy estimate of working_precision;
-    # verify-jw runs at 96 bits either way and the other commands ignore it
-    env = dict(os.environ, BSQ_PRECISION="96")
+    # verlinde and verify-jw estimate their precision with math alone, and a set
+    # BSQ_PRECISION skips the estimate; the other commands ignore it
+    env = {name: value for name, value in os.environ.items() if name != "BSQ_PRECISION"}
+    if precision is not None:
+        env["BSQ_PRECISION"] = precision
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -99,7 +99,12 @@ def test_default_precision_is_96_exactly_where_96_bits_certify():
             assert (working_precision(g, k) == DEFAULT_PRECISION) == certifies, (g, k)
 
 
-@pytest.mark.parametrize("g, k, bits", [(10, 50, 124), (6, 200, 102)])
+# the last four are the pairs with g >= 2 and k <= 3000 whose unrounded bit
+# count, log2(raw_sum) + log2(8g + 8) + 1, lies nearest an integer
+@pytest.mark.parametrize(
+    "g, k, bits",
+    [(10, 50, 124), (6, 200, 102), (15, 1630, 397), (6, 1106, 138), (6, 2214, 153), (6, 552, 124)],
+)
 def test_default_precision_certifies_beyond_96_bits(g, k, bits):
     with pytest.raises(IntegralityFailure):
         verlinde_dim(g, k, prec=DEFAULT_PRECISION)  # an explicit precision is used as given
