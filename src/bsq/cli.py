@@ -1,12 +1,16 @@
 """Command-line front end.
 
 Subcommands: verlinde, graphs, weights, theta-basis, ucurve, verify-jw.
-Each run validates its parameters, then writes exactly one JSON (or CSV)
-document.  Exit codes: 0 success, 1 domain error (JSON error object on
-stderr), 2 usage error (nothing emitted).  Identical configurations produce
-byte-identical output.  The environment variable BSQ_PRECISION overrides the
-Verlinde working precision in bits; without it, verlinde and verify-jw use
-the fewest bits, at least 96, that certify the dimension at their top level.
+Each is one function, _cmd_<name>(args), set as its parser's handler in
+_build_parser: it checks its own flags and returns (document, exit code), and
+run writes exactly one JSON (or CSV) document.  Exit codes: 0 success; 1 a
+domain error, a failure on valid parameters (a JSON error object on stderr,
+no document), or a verify-jw mismatch (its document, then that object); 2 a
+usage error, bad flags or an unopenable --output ("error: ..." on stderr,
+nothing emitted).  Identical configurations produce byte-identical output.
+The environment variable BSQ_PRECISION overrides the Verlinde working
+precision in bits; without it, verlinde and verify-jw use the fewest bits,
+at least 96, that certify the dimension at their top level.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -33,12 +36,14 @@ class UsageError(Exception):
     """Bad parameters; reported on stderr with exit code 2, nothing emitted."""
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    parameters: dict = field(default_factory=dict)
-    output: str | None = None
-    format: str = "json"
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{flag} must be >= {least}, got {value}")
+
+
+def _positive_finite(flag: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise UsageError(f"{flag} must be positive and finite, got {value}")
 
 
 def _parse_complex(text: str, name: str) -> complex:
@@ -95,32 +100,29 @@ def _complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _document(config: RunConfig, body: dict) -> dict:
-    doc = {
-        "tool_version": __version__,
-        "subcommand": config.subcommand,
-        "parameters": config.parameters,
-    }
-    doc.update(body)
-    return doc
+def _document(args: argparse.Namespace, parameters: dict, body: dict) -> dict:
+    return {"tool_version": __version__, "subcommand": args.subcommand, "parameters": parameters, **body}
 
 
-def _cmd_verlinde(config: RunConfig):
+def _cmd_verlinde(args: argparse.Namespace):
+    _at_least("--level", args.level, 1)
+    _at_least("--genus", args.genus, 1)
+    p = {"genus": args.genus, "level": args.level, "precision": _precision(args.genus, args.level)}
     import mpmath
 
-    p = config.parameters
     value = verlinde_dim(p["genus"], p["level"], prec=p["precision"])
     body = {
         "dim": value.dim,
         "raw_sum": mpmath.nstr(value.raw_sum, 25),
         "error_bound": value.error_bound,
     }
-    return _document(config, body), 0
+    return _document(args, p, body), 0
 
 
-def _cmd_graphs(config: RunConfig):
-    p = config.parameters
-    graphs = generate_trivalent(p["genus"])
+def _cmd_graphs(args: argparse.Namespace):
+    if args.genus < 2:
+        raise UsageError(f"--genus must be >= 2 for graph generation, got {args.genus}")
+    graphs = generate_trivalent(args.genus)
     body = {
         "count": len(graphs),
         "graphs": [
@@ -128,21 +130,22 @@ def _cmd_graphs(config: RunConfig):
             for g in graphs
         ],
     }
-    return _document(config, body), 0
+    return _document(args, {"genus": args.genus}, body), 0
 
 
-def _cmd_weights(config: RunConfig):
-    p = config.parameters
-    graph = parse_graph_text(p["graph_text"])
-    k = p["level"]
+def _cmd_weights(args: argparse.Namespace):
+    _at_least("--level", args.level, 1)
+    graph = _resolve_graph(args.graph)
+    k = args.level
+    p = {"graph": args.graph, "graph_text": graph_to_text(graph), "level": k, "count_only": args.count_only}
     body = {"graph": _graph_json(graph), "level": k}
-    if p["count_only"]:
+    if args.count_only:
         body["count"] = count_admissible(graph, k)
     else:
         found = enumerate_admissible(graph, k)
         body["count"] = len(found)
         body["weights"] = [list(w.numerators) for w in found]
-    return _document(config, body), 0
+    return _document(args, p, body), 0
 
 
 def _normal_or_decimal(value: float, log_value: float) -> float | str:
@@ -154,12 +157,17 @@ def _normal_or_decimal(value: float, log_value: float) -> float | str:
     return mpmath.nstr(mpmath.exp(log_value), 17)
 
 
-def _cmd_theta_basis(config: RunConfig):
+def _cmd_theta_basis(args: argparse.Namespace):
+    _at_least("--level", args.level, 1)
+    tau = _parse_complex(args.tau, "--tau")
+    if not tau.imag > 0:
+        raise UsageError(f"--tau must have positive imaginary part, got {args.tau}")
+    _positive_finite("--eps", args.eps)
+    _positive_finite("--norm", args.norm)
     import mpmath
 
-    p = config.parameters
-    tau = complex(*p["tau"])
-    matrix = bpu_matrix(p["level"], tau=tau, eps=p["eps"], norm=p["norm"])
+    p = {"level": args.level, "tau": [tau.real, tau.imag], "eps": args.eps, "norm": args.norm}
+    matrix = bpu_matrix(args.level, tau=tau, eps=args.eps, norm=args.norm)
     log_det = matrix.log_abs_determinant()
     body = {
         "entries": matrix.entries,
@@ -168,23 +176,31 @@ def _cmd_theta_basis(config: RunConfig):
         ),
         "det_modulus": _normal_or_decimal(float(mpmath.exp(log_det)), log_det),
     }
-    return _document(config, body), 0
+    return _document(args, p, body), 0
 
 
-def _cmd_ucurve(config: RunConfig):
-    p = config.parameters
-    k = p["level"]
-    u = complex(*p["u"])
+def _cmd_ucurve(args: argparse.Namespace):
+    _at_least("--level", args.level, 1)
+    u = _parse_complex(args.u, "--u")
+    if not (math.isfinite(args.s_min) and math.isfinite(args.s_max)):
+        raise UsageError(f"--s-min and --s-max must be finite, got {args.s_min}, {args.s_max}")
+    if not args.s_min < args.s_max:
+        raise UsageError(f"--s-min must be below --s-max, got {args.s_min}, {args.s_max}")
+    _at_least("--grid", args.grid, 2)
+    _positive_finite("--tol", args.tol)
+    k = args.level
     if u == 0:
         slc = zero_level_fiber(k)
     else:
-        slc = trace_slice(k, u, (p["s_min"], p["s_max"]), p["grid"], p["tol"])
-    if config.format == "csv":
+        slc = trace_slice(k, u, (args.s_min, args.s_max), args.grid, args.tol)
+    if args.format == "csv":
         lines = ["b,re_s,im_s,m"]
         lines.extend(
             f"{float(pt.b)!r},{pt.s.real!r},{pt.s.imag!r},{pt.m}" for pt in slc.points
         )
         return "\n".join(lines) + "\n", 0
+    p = {"level": k, "u": [u.real, u.imag], "s_min": args.s_min, "s_max": args.s_max, "grid": args.grid,
+         "tol": args.tol}
     body = {
         "u": _complex_json(slc.u),
         "count": len(slc.points),
@@ -198,7 +214,7 @@ def _cmd_ucurve(config: RunConfig):
             for pt in slc.points
         ],
     }
-    return _document(config, body), 0
+    return _document(args, p, body), 0
 
 
 def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = None):
@@ -208,8 +224,6 @@ def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = N
     the deliberately broken variant kept as a negative control.  prec is the
     working precision of every dimension; by default working_precision(g, max_k).
     """
-    if g not in (2, 3):
-        raise ValueError(f"genus must be 2 or 3 at desk scale, got {g!r}")
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
     prec = working_precision(g, max_k) if prec is None else prec
@@ -233,28 +247,24 @@ def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = N
     return rows, all(row["match"] for row in rows)
 
 
-def _cmd_verify_jw(config: RunConfig):
-    p = config.parameters
-    rows, ok = verify_jw(
-        p["genus"], p["max_level"], open_range=p["open_weight_range"], prec=p["precision"]
-    )
-    body = {"rows": rows, "all_match": ok}
-    return _document(config, body), 0 if ok else 1
+def _cmd_verify_jw(args: argparse.Namespace):
+    # the genus cap bounds the run time at desk scale; the identity holds at every genus
+    if args.genus not in (2, 3):
+        raise UsageError(f"--genus must be 2 or 3, got {args.genus}")
+    _at_least("--max-level", args.max_level, 1)
+    p = {
+        "genus": args.genus,
+        "max_level": args.max_level,
+        "open_weight_range": args.open_weight_range,
+        "precision": _precision(args.genus, args.max_level),
+    }
+    rows, ok = verify_jw(args.genus, args.max_level, open_range=args.open_weight_range, prec=p["precision"])
+    return _document(args, p, {"rows": rows, "all_match": ok}), 0 if ok else 1
 
 
-_HANDLERS = {
-    "verlinde": _cmd_verlinde,
-    "graphs": _cmd_graphs,
-    "weights": _cmd_weights,
-    "theta-basis": _cmd_theta_basis,
-    "ucurve": _cmd_ucurve,
-    "verify-jw": _cmd_verify_jw,
-}
-
-
-def _report(config: RunConfig, error: str, message: str) -> None:
+def _report(subcommand: str, error: str, message: str) -> None:
     """The JSON error object of a failed run, on stderr."""
-    fields = {"tool_version": __version__, "subcommand": config.subcommand, "error": error, "message": message}
+    fields = {"tool_version": __version__, "subcommand": subcommand, "error": error, "message": message}
     sys.stderr.write(json.dumps(fields, sort_keys=True) + "\n")
 
 
@@ -266,27 +276,28 @@ def _emit(document, write) -> None:
         write("\n")
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration: build the whole document, then write it out.
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed command line: its handler checks the flags and builds the whole
+    document, then it is written out.
 
-    Raises UsageError when the --output path cannot be opened.
+    Raises UsageError for bad flags or when the --output path cannot be opened.
     """
     try:
-        document, code = _HANDLERS[config.subcommand](config)
+        document, code = args.handler(args)
     except (IntegralityFailure, TruncationFailure, ShapeMismatch, ValueError) as exc:
-        _report(config, type(exc).__name__, str(exc))
+        _report(args.subcommand, type(exc).__name__, str(exc))
         return 1
-    if config.output is None:
+    if args.output is None:
         _emit(document, sys.stdout.write)
     else:
         try:
-            fh = open(config.output, "w")
+            fh = open(args.output, "w")
         except OSError as exc:
-            raise UsageError(f"{config.output}: {exc.strerror}") from None
+            raise UsageError(f"{args.output}: {exc.strerror}") from None
         with fh:
             _emit(document, fh.write)
     if code != 0:
-        _report(config, "VerificationMismatch", "weight count differs from the dimension in at least one row")
+        _report(args.subcommand, "VerificationMismatch", "weight count differs from the dimension in at least one row")
     return code
 
 
@@ -300,30 +311,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bsq {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp):
+    def add_common(sp, handler):
         sp.add_argument("--output", help="write the document to this path instead of stdout")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("verlinde", help="certified dimension of the level-k quantization")
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--level", type=int, required=True)
-    add_common(sp)
+    add_common(sp, _cmd_verlinde)
 
     sp = sub.add_parser("graphs", help="trivalent graph classes for a genus")
     sp.add_argument("--genus", type=int, required=True)
-    add_common(sp)
+    add_common(sp, _cmd_graphs)
 
     sp = sub.add_parser("weights", help="admissible weights on a graph")
     sp.add_argument("--graph", required=True, help="graph file, or builtin name theta2/dumbbell2")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--count-only", action="store_true")
-    add_common(sp)
+    add_common(sp, _cmd_weights)
 
     sp = sub.add_parser("theta-basis", help="theta evaluation matrix at the BS points")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--tau", default="0,1", help="modular parameter as RE,IM (default 0,1)")
     sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--norm", type=float, default=1.0, help="half-form scaling constant")
-    add_common(sp)
+    add_common(sp, _cmd_theta_basis)
 
     sp = sub.add_parser("ucurve", help="trace a u-curve slice (u=0 gives the zero fiber)")
     sp.add_argument("--level", type=int, required=True)
@@ -333,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=1000)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(sp)
+    add_common(sp, _cmd_ucurve)
 
     sp = sub.add_parser("verify-jw", help="weight counts against Verlinde dimensions")
     sp.add_argument("--genus", type=int, required=True)
@@ -343,77 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="numerators 0..k-1 instead of 0..k; breaks the identity on purpose (negative control)",
     )
-    add_common(sp)
+    add_common(sp, _cmd_verify_jw)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Validate preconditions and normalize into a RunConfig (UsageError on failure)."""
-    sc = args.subcommand
-    p: dict = {}
-    fmt = "json"
-
-    if hasattr(args, "level") and args.level < 1:
-        raise UsageError(f"--level must be >= 1, got {args.level}")
-
-    if sc == "verlinde":
-        if args.genus < 1:
-            raise UsageError(f"--genus must be >= 1, got {args.genus}")
-        p = {"genus": args.genus, "level": args.level, "precision": _precision(args.genus, args.level)}
-    elif sc == "graphs":
-        if args.genus < 2:
-            raise UsageError(f"--genus must be >= 2 for graph generation, got {args.genus}")
-        p = {"genus": args.genus}
-    elif sc == "weights":
-        graph = _resolve_graph(args.graph)
-        p = {
-            "graph": args.graph,
-            "graph_text": graph_to_text(graph),
-            "level": args.level,
-            "count_only": bool(args.count_only),
-        }
-    elif sc == "theta-basis":
-        tau = _parse_complex(args.tau, "--tau")
-        if not tau.imag > 0:
-            raise UsageError(f"--tau must have positive imaginary part, got {args.tau}")
-        if not (args.eps > 0 and math.isfinite(args.eps)):
-            raise UsageError(f"--eps must be positive and finite, got {args.eps}")
-        if not (args.norm > 0 and math.isfinite(args.norm)):
-            raise UsageError(f"--norm must be positive and finite, got {args.norm}")
-        p = {"level": args.level, "tau": [tau.real, tau.imag], "eps": args.eps, "norm": args.norm}
-    elif sc == "ucurve":
-        u = _parse_complex(args.u, "--u")
-        if not (math.isfinite(args.s_min) and math.isfinite(args.s_max)):
-            raise UsageError(f"--s-min and --s-max must be finite, got {args.s_min}, {args.s_max}")
-        if not args.s_min < args.s_max:
-            raise UsageError(f"--s-min must be below --s-max, got {args.s_min}, {args.s_max}")
-        if args.grid < 2:
-            raise UsageError(f"--grid must be >= 2, got {args.grid}")
-        if not (args.tol > 0 and math.isfinite(args.tol)):
-            raise UsageError(f"--tol must be positive and finite, got {args.tol}")
-        fmt = args.format
-        p = {
-            "level": args.level,
-            "u": [u.real, u.imag],
-            "s_min": args.s_min,
-            "s_max": args.s_max,
-            "grid": args.grid,
-            "tol": args.tol,
-        }
-    elif sc == "verify-jw":
-        if args.genus not in (2, 3):
-            raise UsageError(f"--genus must be 2 or 3, got {args.genus}")
-        if args.max_level < 1:
-            raise UsageError(f"--max-level must be >= 1, got {args.max_level}")
-        p = {
-            "genus": args.genus,
-            "max_level": args.max_level,
-            "open_weight_range": bool(args.open_weight_range),
-            "precision": _precision(args.genus, args.max_level),
-        }
-
-    return RunConfig(subcommand=sc, parameters=p, output=args.output, format=fmt)
 
 
 def main(argv=None) -> int:
@@ -424,7 +368,7 @@ def main(argv=None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return run(_config_from_args(args))
+        return run(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

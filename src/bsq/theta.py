@@ -100,7 +100,8 @@ def _window(k: int, w: float, z: complex, tau: complex, eps: float) -> int:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     t = math.pi * k * tau.imag
     center = -w - z.imag / tau.imag
-    spread = math.sqrt(max(math.log(1.0 / eps), 0.0) / t)
+    # -log(eps), not log(1/eps): 1/eps overflows for a subnormal eps
+    spread = math.sqrt(max(-math.log(eps), 0.0) / t)
     n = max(2, math.ceil(1.0 + abs(center) + spread))
     if n > TRUNCATION_CAP:
         raise TruncationFailure(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,11 +175,16 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     10*tol in both coordinates.  Since s is the exact minimiser, the output
     depends only on the arguments.  Output is sorted by (m, b, |s|), with b
     an exact Fraction.
+
+    |u|^2 = Re(u)^2 + Im(u)^2, the divisor of _minimize_residual, must be a
+    normal double; a u outside that range raises ValueError.
     """
     _check_level(k)
     u = complex(u)
     if u == 0 or not cmath.isfinite(u):
         raise ValueError(f"u must be finite and nonzero, got {u}; the u = 0 fiber is zero_level_fiber(k)")
+    if not sys.float_info.min <= u.real * u.real + u.imag * u.imag <= sys.float_info.max:
+        raise ValueError(f"|u|^2 must lie in the normal double range, got u = {u}")
     lo, hi = float(s_window[0]), float(s_window[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"s_window must be a finite increasing interval, got ({lo}, {hi})")

@@ -310,6 +310,86 @@ def test_verify_jw_rejects_other_genera(capsys):
     assert out == ""
 
 
+def test_verify_jw_holds_on_every_genus_4_class():
+    # the genus cap is the command's, not the identity's
+    rows, ok = bsq.cli.verify_jw(4, 2)
+    assert ok is True
+    assert len(rows) == 17 * 2
+    assert {row["graph_index"] for row in rows} == set(range(17))
+
+
+# every usage check, with its exact text; where a command line fails several,
+# the check that runs first
+USAGE_ERRORS = {
+    "verlinde level": ({}, ("verlinde", "--genus", "0", "--level", "0"), "--level must be >= 1, got 0"),
+    "verlinde genus": ({"BSQ_PRECISION": "abc"}, ("verlinde", "--genus", "0", "--level", "3"),
+                       "--genus must be >= 1, got 0"),
+    "precision not an integer": ({"BSQ_PRECISION": "abc"}, ("verlinde", "--genus", "2", "--level", "1"),
+                                 "BSQ_PRECISION must be an integer bit count, got 'abc'"),
+    "precision too low": ({"BSQ_PRECISION": "32"}, ("verlinde", "--genus", "2", "--level", "1"),
+                          "BSQ_PRECISION must be >= 64 bits, got 32"),
+    "graphs genus": ({}, ("graphs", "--genus", "1"), "--genus must be >= 2 for graph generation, got 1"),
+    "weights level": ({}, ("weights", "--graph", "nope", "--level", "0"), "--level must be >= 1, got 0"),
+    "weights unknown graph": ({}, ("weights", "--graph", "nope", "--level", "1"),
+                              "graph 'nope' is neither a readable file nor one of ['dumbbell2', 'theta2']"),
+    "weights malformed graph": ({}, ("weights", "--graph", "{tmp}/bad.graph", "--level", "1"),
+                                "{tmp}/bad.graph: not trivalent: 1 edges on 2 vertices, need 2|E| = 3|V|"),
+    "theta level": ({}, ("theta-basis", "--level", "0", "--tau", "garbage"), "--level must be >= 1, got 0"),
+    "theta tau": ({}, ("theta-basis", "--level", "2", "--tau", "garbage", "--eps", "0"),
+                  "--tau must look like 'RE,IM' or 'RE' with finite parts, got 'garbage'"),
+    "theta tau half-plane": ({}, ("theta-basis", "--level", "2", "--tau", "0,-1", "--eps", "0"),
+                             "--tau must have positive imaginary part, got 0,-1"),
+    "theta eps": ({}, ("theta-basis", "--level", "2", "--eps", "0", "--norm", "0"),
+                  "--eps must be positive and finite, got 0.0"),
+    "theta norm": ({}, ("theta-basis", "--level", "2", "--norm", "-1"), "--norm must be positive and finite, got -1.0"),
+    "ucurve level": ({}, ("ucurve", "--level", "0", "--u", "x"), "--level must be >= 1, got 0"),
+    "ucurve u": ({}, ("ucurve", "--level", "1", "--u", "x", "--s-max", "inf"),
+                 "--u must look like 'RE,IM' or 'RE' with finite parts, got 'x'"),
+    "ucurve window finite": ({}, ("ucurve", "--level", "1", "--u", "1", "--s-max", "inf", "--grid", "1"),
+                             "--s-min and --s-max must be finite, got -2.0, inf"),
+    "ucurve window order": ({}, ("ucurve", "--level", "1", "--u", "1", "--s-min", "2", "--s-max", "-2", "--grid", "1"),
+                            "--s-min must be below --s-max, got 2.0, -2.0"),
+    "ucurve grid": ({}, ("ucurve", "--level", "1", "--u", "1", "--grid", "1", "--tol", "0"),
+                    "--grid must be >= 2, got 1"),
+    "ucurve tol": ({}, ("ucurve", "--level", "1", "--u", "1", "--tol", "inf"), "--tol must be positive and finite, got inf"),
+    "verify-jw genus": ({}, ("verify-jw", "--genus", "4", "--max-level", "0"), "--genus must be 2 or 3, got 4"),
+    "verify-jw max level": ({"BSQ_PRECISION": "32"}, ("verify-jw", "--genus", "2", "--max-level", "0"),
+                            "--max-level must be >= 1, got 0"),
+    "verify-jw precision": ({"BSQ_PRECISION": "32"}, ("verify-jw", "--genus", "2", "--max-level", "1"),
+                            "BSQ_PRECISION must be >= 64 bits, got 32"),
+    "output": ({}, ("verlinde", "--genus", "2", "--level", "1", "--output", "{tmp}/missing/x.json"),
+               f"{{tmp}}/missing/x.json: {os.strerror(errno.ENOENT)}"),
+}
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_error_text(capsys, monkeypatch, tmp_path, name):
+    env, argv, message = USAGE_ERRORS[name]
+    monkeypatch.delenv("BSQ_PRECISION", raising=False)
+    for variable, value in env.items():
+        monkeypatch.setenv(variable, value)
+    (tmp_path / "bad.graph").write_text("v 2\ne 0 1\n")
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
+def test_theta_basis_takes_a_subnormal_eps(capsys, eps):
+    doc = run_json(capsys, "theta-basis", "--level", "3", "--eps", eps)
+    assert doc["parameters"]["eps"] == float(eps)
+    assert len(doc["entries"]) == 3
+
+
+@pytest.mark.parametrize("u", ["1e-300", "1e160", "1e-160,1e-160"])
+def test_ucurve_u_whose_squared_modulus_is_not_a_normal_double_is_a_domain_error(capsys, u):
+    code, out, err = run_cli(capsys, "ucurve", "--level", "3", "--u", u)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert (error["error"], error["subcommand"]) == ("ValueError", "ucurve")
+    assert "normal double range" in error["message"]
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     path = tmp_path / "doc.json"
     code, out, err = run_cli(

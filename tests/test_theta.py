@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -237,11 +238,20 @@ def test_cli_theta_basis_spectrum_at_high_level(tmp_path, k):
     # sigma is near 1e-21 to 1e-681 and |det| far below the smallest double,
     # beyond what a double-precision SVD or determinant resolves; from k of
     # about 900 on, some nulls themselves are below the double range
-    from bsq.cli import main
+    import bsq.cli
 
-    path = tmp_path / "theta.json"
-    assert main(["theta-basis", "--level", str(k), "--output", str(path)]) == 0
-    doc = _top_level_scalars(path.read_text())
+    argv = ["theta-basis", "--level", str(k)]
+    if k < 960:
+        path = tmp_path / "theta.json"
+        assert bsq.cli.main([*argv, "--output", str(path)]) == 0
+        doc = _top_level_scalars(path.read_text())
+    else:
+        # the document as the subcommand builds it, without the seconds of
+        # writing 73 MB (k = 960) or 272 MB (k = 2000) of text; the written
+        # k = 2000 document is held to its memory limit in CI
+        args = bsq.cli._build_parser().parse_args(argv)
+        doc, code = args.handler(args)
+        assert code == 0
     assert doc["subcommand"] == "theta-basis"
     with mpmath.workprec(120):
         # theta-nulls summed directly: at tau = i, jtheta's argument here is far
@@ -280,3 +290,18 @@ def test_huge_norm_restores_rows_whose_null_underflows():
     m = bpu_matrix(960, norm=1e300)
     assert np.allclose(np.log(np.abs(m.nulls)), m.log_moduli, rtol=0, atol=1e-12)
     assert np.allclose(np.abs(m.entries), np.abs(m.nulls)[:, None], rtol=1e-12, atol=0)
+
+
+def test_subnormal_eps_gives_a_finite_window():
+    from bsq.theta import _window
+
+    # 1/eps overflows for eps below about 5.6e-309; at every normal eps the
+    # window is the one that ln(1/eps) gives
+    for eps in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.5, 1e-300, sys.float_info.min):
+        t = math.pi * 3
+        spread = math.sqrt(max(math.log(1.0 / eps), 0.0) / t)
+        assert _window(3, 1.0, 0j, 1j, eps) == max(2, math.ceil(2.0 + spread))
+    assert _window(3, 1.0, 0j, 1j, 5e-324) >= _window(3, 1.0, 0j, 1j, sys.float_info.min)
+    m = bpu_matrix(3, eps=1e-320)
+    assert m.eps == 1e-320
+    assert np.allclose(m.entries, bpu_matrix(3).entries, rtol=1e-12, atol=0)

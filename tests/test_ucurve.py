@@ -307,6 +307,20 @@ def test_trace_rejects_non_finite_arguments(u, s_window, tol):
         trace_slice(3, u, s_window, 10, tol)
 
 
+@pytest.mark.parametrize("u", [1e-300, 1e-160, complex(1e-162, 1e-162), 1e160, complex(1e155, -1e155), 1.79e308])
+def test_trace_rejects_u_whose_squared_modulus_is_not_a_normal_double(u):
+    # |u|^2 divides in _minimize_residual: below the normal range it rounds
+    # towards 0.0, above it is inf, and the branch range grows like |u|
+    with pytest.raises(ValueError, match="normal double range"):
+        trace_slice(3, u, (-2.0, 2.0), 12, 1e-9)
+
+
+@pytest.mark.parametrize("u", [1e-150, 1e-150j])
+def test_trace_of_a_tiny_u_with_a_normal_squared_modulus_is_the_rational_fiber(u):
+    slc = trace_slice(3, u, (-2.0, 2.0), 12, 1e-9)
+    assert [(p.b, p.m, p.s) for p in slc.points] == [(Fraction(j, 3), j, 0j) for j in range(3)]
+
+
 def test_point_and_slice_validation():
     with pytest.raises(ValueError):
         SupercyclePoint(b=Fraction(5, 4), s=0j, u=0j, m=0)
