@@ -5,12 +5,14 @@ Each is one function, _cmd_<name>(args), set as its parser's handler in
 _build_parser: it checks its own flags and returns (document, exit code), and
 run writes exactly one JSON (or CSV) document.  Exit codes: 0 success; 1 a
 domain error, a failure on valid parameters (a JSON error object on stderr,
-no document), or a verify-jw mismatch (its document, then that object); 2 a
-usage error, bad flags or an unopenable --output ("error: ..." on stderr,
-nothing emitted).  Identical configurations produce byte-identical output.
-The environment variable BSQ_PRECISION overrides the Verlinde working
-precision in bits; without it, verlinde and verify-jw use the fewest bits,
-at least 96, that certify the dimension at their top level.
+no document; a MemoryError is one), or a verify-jw mismatch (its document,
+then that object); 2 a usage error, bad flags or a document that cannot be
+written to --output or stdout ("error: ..." on stderr; nothing emitted, or
+only part of the document when the write fails).  Identical configurations
+produce byte-identical output.  The environment variable BSQ_PRECISION
+overrides the Verlinde working precision in bits; without it, verlinde and
+verify-jw use the fewest bits, at least 96, that certify the dimension at
+their top level.
 """
 
 from __future__ import annotations
@@ -280,22 +282,31 @@ def run(args: argparse.Namespace) -> int:
     """Run a parsed command line: its handler checks the flags and builds the whole
     document, then it is written out.
 
-    Raises UsageError for bad flags or when the --output path cannot be opened.
+    Raises UsageError for bad flags, or when the document cannot be written to
+    the --output path or to stdout.
     """
     try:
         document, code = args.handler(args)
     except (IntegralityFailure, TruncationFailure, ShapeMismatch, ValueError) as exc:
         _report(args.subcommand, type(exc).__name__, str(exc))
         return 1
+    except MemoryError as exc:  # numpy raises a subclass of its own
+        _report(args.subcommand, "MemoryError", str(exc))
+        return 1
     if args.output is None:
-        _emit(document, sys.stdout.write)
+        try:
+            _emit(document, sys.stdout.write)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the flush at shutdown would fail again, so what is left goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise UsageError(f"stdout: {exc.strerror}") from None
     else:
         try:
-            fh = open(args.output, "w")
+            with open(args.output, "w") as fh:
+                _emit(document, fh.write)
         except OSError as exc:
             raise UsageError(f"{args.output}: {exc.strerror}") from None
-        with fh:
-            _emit(document, fh.write)
     if code != 0:
         _report(args.subcommand, "VerificationMismatch", "weight count differs from the dimension in at least one row")
     return code

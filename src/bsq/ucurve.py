@@ -9,10 +9,10 @@ convex quadratic in s, so the minimiser is closed-form:
 s* = clip((m - k*b) * Re(u) / |u|^2, s_min, s_max).  For real u it is the
 exact root (m - k*b)/u clipped to the window; for non-real u and small tol
 the slice with real s collapses to s = 0, b = m/k.  The least residual is
-convex in b, so each branch keeps one interval of grid points, found exactly
-by bisection; the tracer never visits the grid points it does not keep.  The
-order-k deck translation b -> b + 1/k (mod 1), m -> m + 1 (adjusted on
-wraparound) permutes every level set.
+convex in c = k*b - m, so the kept numerators of c over the grid form one
+interval, found exactly in O(log width) tests; the tracer never visits the
+grid points it does not keep.  The order-k deck translation b -> b + 1/k
+(mod 1), m -> m + 1 (adjusted on wraparound) permutes every level set.
 
 b coordinates are kept as exact fractions wherever the model produces them,
 so translation orbits close exactly; the residual functions accept any real b.
@@ -129,46 +129,48 @@ def _exact_test(u: complex, lo: float, hi: float, tol: float, grid: int):
     return below
 
 
-def _kept_interval(on, star: Fraction, grid: int) -> range:
-    """The grid indices i with on(i), given that they form one interval in which
-    a real i* is a point of least residual.
+def _kept_numerators(below, star: Fraction) -> tuple[int, int] | None:
+    """The ends of the one interval of integers N with below(N), None if it is
+    empty, given that the real star is a point of least residual.
 
-    If any index is kept, floor(i*) or ceil(i*), clipped to the grid, is kept
-    too.  Each end is then bisected between a kept index and an index that is
-    not kept, or lies just outside the grid.
+    If any N is kept, floor(star) or ceil(star) is.  From it each end is
+    galloped outward in doubling steps, then bisected by halving the last
+    step, so the cost is O(log width) calls of below.
     """
-    anchors = [i for i in {min(max(math.floor(star), 0), grid - 1), min(max(math.ceil(star), 0), grid - 1)} if on(i)]
-    if not anchors:
-        return range(0)
+    anchor = next((n for n in dict.fromkeys((math.floor(star), math.ceil(star))) if below(n)), None)
+    if anchor is None:
+        return None
     ends = []
-    for outside in (-1, grid):
-        kept = anchors[0]
-        while abs(outside - kept) > 1:
-            mid = (kept + outside) // 2
-            if on(mid):
-                kept = mid
-            else:
-                outside = mid
+    for step in (-1, 1):
+        kept = anchor
+        while below(kept + step):
+            kept, step = kept + step, 2 * step
+        # kept + step is not kept, and step is a power of two
+        while abs(step) > 1:
+            step //= 2
+            if below(kept + step):
+                kept += step
         ends.append(kept)
-    return range(ends[0], ends[1] + 1)
+    return ends[0], ends[1]
 
 
 def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, tol: float) -> UCurveSlice:
     """Sample the level-u locus over b in [0,1) with s real in s_window.
 
-    For every integer branch m reachable in the window widened by tol and
-    each of the `grid` values b = i/grid, s is the exact minimiser over the
-    window of |k*b + u*s - m| (see _minimize_residual), and the candidate is
-    on the locus when that smallest residual is below tol, decided exactly at
-    the binary values of u, s_window and tol (_exact_test).  For real u
-    the slice thus holds exactly the grid pairs whose root (m - k*b)/u lies
-    in s_window widened by tol/|u|.
+    For every integer branch m and each of the `grid` values b = i/grid, s
+    is the exact minimiser over the window of |k*b + u*s - m| (see
+    _minimize_residual), and the candidate is on the locus when that
+    smallest residual is below tol, decided exactly at the binary values of
+    u, s_window and tol (_exact_test).  For real u the slice thus holds
+    exactly the grid pairs whose root (m - k*b)/u lies in s_window widened
+    by tol/|u|.
 
-    The smallest residual is convex in b on each branch, so the kept indices
-    of a branch form one interval: it is found from the index nearest the
-    minimum and two bisections (_kept_interval), and only its points are
-    made.  The cost is O(branches * log grid) exact tests plus the points
-    kept.
+    The smallest residual depends on (i, m) only through N = k*i - m*grid,
+    the numerator of c = k*b - m, and is convex in N, so the kept N form one
+    interval for the whole slice, found once by galloping and bisection
+    (_kept_numerators).  Each branch's kept indices follow by integer
+    division, and only their points are made.  The cost is O(log width)
+    exact tests plus O(k + points) integer work.
 
     Candidates closer than 10*tol in both b and s are deduplicated: sorted by
     (b, |s|, m), a candidate is dropped when an earlier kept one lies within
@@ -193,22 +195,19 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    # |k*b - m + Re(u)*s| <= |k*b + u*s - m| < tol, so m lies within tol of a
-    # corner value k*b + Re(u)*s with b in [0, 1] and s in the window
-    ur, t = Fraction(u.real), Fraction(tol)
-    corners = [k * bb + ur * Fraction(s) for bb in (0, 1) for s in (lo, hi)]
     below = _exact_test(u, lo, hi, tol, grid)
     # over c and s together |c + u*s| is least at s = clip(0, lo, hi), c = -Re(u)*s
-    least_c = -ur * Fraction(min(max(0.0, lo), hi))
+    numerators = _kept_numerators(below, -Fraction(u.real) * Fraction(min(max(0.0, lo), hi)) * grid)
     # candidates as (b, |s|, m, s, i) with b = i / grid, the double nearest to
     # Fraction(i, grid); the Fraction is made only for the points kept
     candidates = []
-    for m in range(math.ceil(min(corners) - t), math.floor(max(corners) + t) + 1):
-        # c = (k*i - m*grid)/grid is affine in i, and the least |c + u*s| over s is convex in c
-        on = lambda i: below(k * i - m * grid)
-        for i in _kept_interval(on, (m + least_c) * grid / k, grid):
-            s = _minimize_residual((k * i - m * grid) / grid, u, lo, hi)
-            candidates.append((i / grid, abs(s), m, s, i))
+    if numerators is not None:
+        n_lo, n_hi = numerators
+        # the m whose reals i in [0, grid - 1] meet n_lo <= k*i - m*grid <= n_hi
+        for m in range(-(n_hi // grid), (k * (grid - 1) - n_lo) // grid + 1):
+            for i in range(max(-((-n_lo - m * grid) // k), 0), min((n_hi + m * grid) // k, grid - 1) + 1):
+                s = _minimize_residual((k * i - m * grid) / grid, u, lo, hi)
+                candidates.append((i / grid, abs(s), m, s, i))
 
     # dedup at 10*tol in both coordinates, preferring smaller b then smaller |s|
     candidates.sort()

@@ -415,6 +415,44 @@ def test_unopenable_output_is_usage_error(capsys, tmp_path, target, reason):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_failed_write_to_output_is_a_usage_error(capsys):
+    # /dev/full opens, then fails every write with ENOSPC
+    code, out, err = run_cli(capsys, "verlinde", "--genus", "2", "--level", "2", "--output", "/dev/full")
+    assert (code, out, err) == (2, "", f"error: /dev/full: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_stdout_closed_early_is_a_usage_error_without_a_traceback():
+    # the document, about 370 KB, outgrows the pipe's buffer, so a write meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bsq", "ucurve", "--level", "3", "--u", "0.7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "count'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err == f"error: stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_running_out_of_memory_on_valid_parameters_is_a_domain_error(capsys, monkeypatch):
+    class ArrayMemoryError(MemoryError):  # numpy raises its own subclass
+        pass
+
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type int64"
+
+    def bpu_matrix(*args, **kwargs):
+        raise ArrayMemoryError(message)
+
+    monkeypatch.setattr(bsq.cli, "bpu_matrix", bpu_matrix)
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "1000000")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "MemoryError", "message": message, "subcommand": "theta-basis", "tool_version": __version__,
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from _oracles import oracle_ucurve_candidates
 
+from bsq import ucurve
 from bsq.cli import main
 from bsq.ucurve import (
     SupercyclePoint,
@@ -234,23 +235,27 @@ def test_coarse_tolerance_dedups_the_exact_root_set(capsys, level, u):
         assert abs(p["s"][0] - s) < 1e-13 and p["s"][1] == 0.0
 
 
-def complex_u_configs(seed, n):
+def complex_u_configs(seed, n, large_re_u=False):
+    """Seeded (k, u, window, grid, tol); large_re_u takes 50 <= |Re(u)| <= 500 and grid <= 12."""
     rng = random.Random(seed)
     for index in range(n):
         k = rng.randint(1, 4)
-        u = complex(rng.uniform(-2.0, 2.0), rng.choice([-1, 1]) * 10 ** rng.uniform(-4.0, 0.2))
+        re_u = rng.choice([-1, 1]) * rng.uniform(50.0, 500.0) if large_re_u else rng.uniform(-2.0, 2.0)
+        u = complex(re_u, rng.choice([-1, 1]) * 10 ** rng.uniform(-4.0, 0.2))
         if index % 3 == 0:  # a window on one side of 0
             ends = sorted((rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)))
             window = tuple(ends) if rng.random() < 0.5 else (-ends[1], -ends[0])
         else:
             window = (rng.uniform(-2.0, -0.05), rng.uniform(0.05, 2.0))
-        yield k, u, window, rng.choice([2, 3, 10, 24, 60]), rng.choice([1e-9, 1e-3, 0.01, 0.05, 0.3])
+        grid = rng.choice([2, 3, 10, 12] if large_re_u else [2, 3, 10, 24, 60])
+        yield k, u, window, grid, rng.choice([1e-9, 1e-3, 0.01, 0.05, 0.3])
 
 
 def test_trace_equals_the_brute_force_oracle_for_complex_u():
     # every (branch, grid index) pair minimised in rationals, then the dedup rule
     kept = dropped = 0
-    for k, u, window, grid, tol in complex_u_configs(20261019, 40):
+    configs = itertools.chain(complex_u_configs(20261019, 40), complex_u_configs(20261020, 5, large_re_u=True))
+    for k, u, window, grid, tol in configs:
         candidates = oracle_ucurve_candidates(k, u, window, grid, tol)
         want = dedup_rule(candidates, tol)
         slc = trace_slice(k, u, window, grid, tol)
@@ -268,6 +273,28 @@ def test_trace_of_a_complex_u_at_a_million_grid_points_is_the_rational_fiber():
     k, grid = 4, 10**6
     slc = trace_slice(k, 0.5 + 0.5j, (-2.0, 2.0), grid, 1e-9)
     assert [(p.b, p.s, p.m) for p in slc.points] == [(Fraction(m, k), 0j, m) for m in range(k)]
+
+
+@pytest.mark.parametrize("u", [1e3 + 1e3j, 1e5 + 1e5j, 1e140 + 1e140j])
+def test_a_slice_makes_a_few_exact_tests_however_many_branches_its_window_reaches(monkeypatch, u):
+    # the window reaches about 4*|Re(u)| branches, yet only N = k*i - m*grid = 0 is kept
+    calls = 0
+    exact_test = ucurve._exact_test
+
+    def counted_exact_test(*args):
+        below = exact_test(*args)
+
+        def counted(numerator):
+            nonlocal calls
+            calls += 1
+            return below(numerator)
+
+        return counted
+
+    monkeypatch.setattr(ucurve, "_exact_test", counted_exact_test)
+    slc = trace_slice(3, u, (-2.0, 2.0), 10, 1e-9)
+    assert [(p.b, p.s, p.m) for p in slc.points] == [(Fraction(0), 0j, 0)]
+    assert calls <= 10
 
 
 def test_trace_keeps_branches_reached_only_within_tol_of_a_window_corner():
