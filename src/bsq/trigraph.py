@@ -88,23 +88,25 @@ def _matrix(graph: TrivalentGraph):
 
 
 def _least_key(mat, n, bound=None):
-    """Least bordered key over the orderings of vertices 0..n-1.
+    """Least bordered key over the orderings of vertices 0..n-1, and an ordering that reaches it.
 
     The ordering p is built one vertex at a time; placing p[r] appends the
     border (loops[p_r], mat[p_r][p_0], ..., mat[p_r][p_{r-1}]), so the key is
     decided prefix by prefix and branches above the best key so far are cut
-    early.  With a bound, the search stops as soon as a prefix falls strictly
-    below it and returns that prefix, which every completion keeps below the
-    bound; it returns None if no ordering gets below the bound.
+    early.  Any two orderings that reach the least key differ by an
+    automorphism.  With a bound, the search stops as soon as a prefix falls
+    strictly below it and returns that prefix, which every completion keeps
+    below the bound, with its partial ordering; it returns (None, None) if no
+    ordering gets below the bound.
     """
     bounded = bound is not None
-    best = bound
+    best, best_perm = bound, None
 
     def extend(perm, used, key):
-        nonlocal best
+        nonlocal best, best_perm
         if len(perm) == n:
             if best is None or key < best:
-                best = key
+                best, best_perm = key, perm
             return False
         end = len(key) + len(perm) + 1
         for v in range(n):
@@ -117,19 +119,19 @@ def _least_key(mat, n, bound=None):
                 if cand > head:
                     continue
                 if bounded and cand < head:
-                    best = cand
+                    best, best_perm = cand, perm + (v,)
                     return True
             if extend(perm + (v,), used | 1 << v, cand):
                 return True
         return False
 
     extend((), 0, ())
-    return None if best is bound else best
+    return (None, None) if best_perm is None else (best, best_perm)
 
 
 def canonical_key(graph: TrivalentGraph) -> tuple:
     """Minimum over vertex permutations of the bordered matrix encoding."""
-    return _least_key(_matrix(graph), graph.vertex_count)
+    return _least_key(_matrix(graph), graph.vertex_count)[0]
 
 
 def _graph_from_key(key, n) -> TrivalentGraph:
@@ -199,7 +201,7 @@ def generate_trivalent(g: int) -> list[TrivalentGraph]:
                 ):
                     continue
                 prefix = key + border
-                if _least_key(mat, v + 1, bound=prefix) is None:
+                if _least_key(mat, v + 1, bound=prefix)[0] is None:
                     deg[v] += 2 * loops
                     place(v, w + 1, prefix)
                     deg[v] -= 2 * loops

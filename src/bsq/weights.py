@@ -11,21 +11,23 @@ contributes its label twice) satisfy, with exact integer arithmetic:
 and 4. every bridge edge has an even numerator.
 
 Labels run over {0, 1/k, ..., k/k}; the count of admissible labelings equals
-the Verlinde dimension, which is what ties this module to verlinde.py.  The
-enumeration is a backtracker over edges ordered to close vertices early, with
-each vertex checked the moment its three ends are labeled; the order is
-searched for from the graph's structure, so its cost does not depend on how
-the graph is numbered.
+the Verlinde dimension, which is what ties this module to verlinde.py.
+Conditions 1-3 are the su(2)_k fusion rule N_abc in {0, 1} and condition 4 a
+parity mask, so counting and listing share one plan: the vertices in an order
+taken from the graph's structure, each with a table from the labels of its
+ends labelled before to the labels of its new edges that pass it.  The count
+sweeps the vertices once, keeping a count per labelling of the open edges;
+the listing walks the same tables depth first.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .trigraph import TrivalentGraph, bridges
+from .trigraph import TrivalentGraph, _least_key, _matrix, bridges
 
 
 class ShapeMismatch(ValueError):
@@ -99,18 +101,14 @@ def is_admissible(graph: TrivalentGraph, k: int, weight) -> AdmissibilityReport:
 
     weight may be a WeightFunction on this graph or a bare numerator sequence.
     """
-    if k < 1:
-        raise ValueError(f"level must be >= 1, got {k}")
     if isinstance(weight, WeightFunction):
         if weight.graph != graph:
             raise ShapeMismatch("weight was built on a different graph")
         if weight.k != k:
             raise ShapeMismatch(f"weight has denominator {weight.k}, expected {k}")
-        nums = weight.numerators
     else:
-        nums = tuple(weight)
-        if len(nums) != len(graph.edges):
-            raise ShapeMismatch(f"{len(nums)} numerators for {len(graph.edges)} edges")
+        weight = WeightFunction(graph, k, weight)
+    nums = weight.numerators
 
     violations = []
     for v, ends_idx in enumerate(_incidence(graph)):
@@ -132,166 +130,79 @@ def is_admissible(graph: TrivalentGraph, k: int, weight) -> AdmissibilityReport:
     return AdmissibilityReport(not violations, tuple(violations))
 
 
-# _edge_order's search over vertex orders takes about 0.4 ms at genus 4 (6
-# vertices), 1 ms at genus 5 and 7 ms at genus 6 (10 vertices); larger graphs
-# take the greedy order.
-_ORDER_SEARCH_MAX_VERTICES = 10
+# The search for the canonical ordering takes at most 2 ms on every class up to
+# genus 5 and 45 ms on the Petersen graph (genus 6, 10 vertices), on one core of
+# an Intel Xeon under Python 3.11.  Above this many vertices the vertex order
+# breaks its ties by the input numbering instead.
+_CANONICAL_RANK_MAX_VERTICES = 10
 
 
-def _passing_triples(k: int, max_numerator: int) -> int:
-    """How many end triples in {0..max_numerator}^3 pass the vertex conditions."""
-    passing = 0
-    for x in range(max_numerator + 1):
-        for y in range(max_numerator + 1):
-            # z runs over |x - y|, |x - y| + 2, ... up to x + y, 2k - x - y
-            # and max_numerator: conditions 1, 3 and 2
-            low, high = abs(x - y), min(x + y, 2 * k - x - y, max_numerator)
-            if high >= low:
-                passing += (high - low) // 2 + 1
-    return passing
+class _Visit(NamedTuple):
+    """One vertex of a plan, and the table of the labels that pass it."""
+
+    old: tuple[int, ...]  # its ends labelled before, each open until now
+    old_at: tuple[int, ...]  # their places in the open edges' labels
+    kept_at: tuple[int, ...]  # the places of the open edges that stay open
+    new: tuple[int, ...]  # its edges labelled here: those it opens, then its loops
+    opens: int
+    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels
 
 
-def _edge_order(graph: TrivalentGraph, inc, bridge_set, k: int, max_numerator: int) -> list[int]:
-    """The order in which the backtracker assigns the edges.
+def _vertex_order(graph: TrivalentGraph) -> list[int]:
+    """The order in which a plan visits the vertices.
 
-    The backtracker visits about N(S) nodes for each prefix S of the order:
-    the partial weights on S that pass the conditions of every vertex whose
-    ends all lie in S.  N(S) is estimated as the product of the edges' value
-    counts (a bridge takes even values only) times rho for each such vertex,
-    rho being the share of end triples that pass a vertex's conditions.
-
-    The order visits the vertices one by one and assigns the edges at each
-    vertex that are still open, in increasing order of the factor each puts
-    on N: its value count, times rho if it completes another vertex.  The
-    vertex order with the least estimated sum over the prefixes is found by
-    dynamic programming over vertex subsets, in exact integers.  It is chosen
-    from the graph's structure, not from how its vertices and edges are
-    numbered, so relabelling a graph does not change the cost of the search:
-    each genus-3 class at k = 4 and 8 and each genus-4 class at k = 4 costs
-    the same number of steps under every relabelling tried, where the greedy
-    order varied up to 2.5-fold.
-
-    The greedy order of _greedy_edge_order is taken instead for graphs with
-    more than _ORDER_SEARCH_MAX_VERTICES vertices, and where the search over
-    orders would cost more than the backtracker: the estimated count N(all
-    edges) does not depend on the order, and when max_numerator + 1 times it
-    is below the n * 2^(n-1) steps of the search over n vertices, the order
-    is not worth searching for: at genus 4, for every class at k <= 2 and
-    for some at k = 3.
+    Each step takes the vertex, next to those already taken, that opens the
+    fewest edges less the ones it closes, and breaks ties by the vertex's
+    rank in the ordering that reaches the canonical key.  Any two such
+    orderings differ by an automorphism, so the order, and with it the cost
+    of a count, depends on the graph's class only, not on its numbering.
     """
-    n_vertices = graph.vertex_count
-    if n_vertices > _ORDER_SEARCH_MAX_VERTICES:
-        return _greedy_edge_order(graph)
-    values = [max_numerator // 2 + 1 if e in bridge_set else max_numerator + 1 for e in range(len(graph.edges))]
-    triples = (max_numerator + 1) ** 3
-    passing = _passing_triples(k, max_numerator)
-    # N(all edges), times triples^n_vertices
-    found = math.prod(values) * passing**n_vertices
-    if (max_numerator + 1) * found < (n_vertices << n_vertices - 1) * triples**n_vertices:
-        return _greedy_edge_order(graph)
-    masks = [sum(1 << e for e in set(ends)) for ends in inc]
-    endpoints = [tuple(set(edge)) for edge in graph.edges]
-    # the edges at each vertex, each with its other end (the vertex itself for a loop)
-    around = [[(e, a + b - v) for e, (a, b) in enumerate(graph.edges) if v in (a, b)] for v in range(n_vertices)]
-    full = (1 << n_vertices) - 1
-    assigned = [0] * (full + 1)  # the edges at the vertices in t
-    best = [0] * (full + 1)  # least estimated cost of assigning them
-    size = [triples**n_vertices] + [0] * full  # their N, times triples^n_vertices
-    step = [None] * (full + 1)  # (t before the last visit, the edges it assigned)
-    # only connected vertex sets are visited: a vertex apart from them opens
-    # all its edges and completes nothing
-    neighbours = [sum(1 << u for u in {u for _, u in around[v]}) for v in range(n_vertices)]
-    for t in range(full):
-        if t and step[t] is None:
-            continue
-        done = assigned[t]
-        for v in range(n_vertices):
-            if t >> v & 1 or t and not neighbours[v] & t:
-                continue
-            # an edge completes its other end when it is that vertex's last open end
-            new = sorted(
-                (values[e] * (passing if masks[u] & ~done == 1 << e else triples), e)
-                for e, u in around[v]
-                if not done >> e & 1
-            )
-            cost, n, cur = best[t], size[t], done
-            for _, e in new:
-                cur |= 1 << e
-                n *= values[e]
-                for u in endpoints[e]:
-                    if cur & masks[u] == masks[u]:
-                        n = n * passing // triples
-                cost += n
-            later = t | 1 << v
-            if step[later] is None or cost < best[later]:
-                assigned[later], best[later], size[later] = cur, cost, n
-                step[later] = (t, [e for _, e in new])
-    order = []
-    t = full
-    while t:
-        t, edges = step[t]
-        order[:0] = edges
+    n = graph.vertex_count
+    rank = list(range(n))
+    if n <= _CANONICAL_RANK_MAX_VERTICES:
+        for r, v in enumerate(_least_key(_matrix(graph), n)[1]):
+            rank[v] = r
+    taken, order = set(), []
+    while len(order) < n:
+        def growth(v):
+            ends = [b if a == v else a for a, b in graph.edges if v in (a, b)]
+            return sum(1 if u not in taken else -1 for u in ends if u != v), rank[v]
+
+        nearby = {u for a, b in graph.edges for u in (a, b) if {a, b} & taken} - taken
+        v = min(nearby or range(n), key=growth)
+        taken.add(v)
+        order.append(v)
     return order
 
 
-def _greedy_edge_order(graph: TrivalentGraph) -> list[int]:
-    """Order edges so each assignment closes vertices as early as possible."""
-    filled = [0] * graph.vertex_count
-    remaining = list(range(len(graph.edges)))
-    order = []
-    while remaining:
-        def score(idx):
-            a, b = graph.edges[idx]
-            contrib = {a: 0, b: 0}
-            contrib[a] += 1
-            contrib[b] += 1
-            closes = sum(1 for v, c in contrib.items() if filled[v] + c == 3)
-            progress = sum(filled[v] for v in contrib)
-            return (closes, progress, -idx)
+def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
+    """One visit per vertex, in _vertex_order, each with its table of passing labels.
 
-        best = max(remaining, key=score)
-        remaining.remove(best)
-        order.append(best)
-        a, b = graph.edges[best]
-        filled[a] += 1
-        filled[b] += 1
-    return order
-
-
-def _enumerate_numerators(graph: TrivalentGraph, k: int, max_numerator: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking generator of admissible numerator tuples (edge order)."""
-    n_edges = len(graph.edges)
-    inc = _incidence(graph)
+    A table maps the labels of a vertex's ends labelled before to every
+    labelling of its new edges that passes conditions 1-3 there, bridges
+    taking even values only (condition 4).
+    """
     bridge_set = bridges(graph)
-    order = _edge_order(graph, inc, bridge_set, k, max_numerator)
-    position = {edge: pos for pos, edge in enumerate(order)}
-    # a vertex closes at the latest position among its three ends
-    closes_at = [[] for _ in range(n_edges)]
-    for v, ends_idx in enumerate(inc):
-        closes_at[max(position[i] for i in ends_idx)].append(v)
-
-    nums = [0] * n_edges
-
-    def fill(pos):
-        if pos == n_edges:
-            yield tuple(nums)
-            return
-        edge = order[pos]
-        for j in range(max_numerator + 1):
-            if edge in bridge_set and j % 2 != 0:
-                continue
-            nums[edge] = j
-            ok = True
-            for v in closes_at[pos]:
-                ends = [nums[i] for i in inc[v]]
-                if _vertex_conditions(ends, k):
-                    ok = False
-                    break
-            if ok:
-                yield from fill(pos + 1)
-        nums[edge] = 0
-
-    yield from fill(0)
+    values = [range(0, max_numerator + 1, 1 + (e in bridge_set)) for e in range(len(graph.edges))]
+    inc = _incidence(graph)
+    labelled, open_edges, plan = set(), [], []
+    for v in _vertex_order(graph):
+        old_at = tuple(i for i, e in enumerate(open_edges) if v in graph.edges[e])
+        kept_at = tuple(i for i, e in enumerate(open_edges) if v not in graph.edges[e])
+        old = tuple(open_edges[i] for i in old_at)
+        fresh = sorted(set(inc[v]) - labelled)
+        opened = [e for e in fresh if graph.edges[e] != (v, v)]
+        new = tuple(opened + [e for e in fresh if graph.edges[e] == (v, v)])
+        passing = {}
+        for old_labels in itertools.product(*(values[e] for e in old)):
+            for new_labels in itertools.product(*(values[e] for e in new)):
+                label = dict(zip(old + new, old_labels + new_labels))
+                if not _vertex_conditions([label[e] for e in inc[v]], k):
+                    passing.setdefault(old_labels, []).append(new_labels)
+        plan.append(_Visit(old, old_at, kept_at, new, len(opened), passing))
+        labelled.update(new)
+        open_edges = [open_edges[i] for i in kept_at] + opened
+    return plan
 
 
 def _check_enum_args(graph, k, max_numerator):
@@ -309,17 +220,41 @@ def enumerate_admissible(graph: TrivalentGraph, k: int, max_numerator: int | Non
 
     max_numerator defaults to k (labels up to k/k = 1); passing k-1 restricts
     to the open range {0, ..., (k-1)/k}, which is the documented way to break
-    the count identity on purpose.
+    the count identity on purpose.  A depth-first walk over the plan's tables.
     """
-    max_numerator = _check_enum_args(graph, k, max_numerator)
-    tuples = sorted(_enumerate_numerators(graph, k, max_numerator))
-    return [WeightFunction(graph, k, t) for t in tuples]
+    found = []
+    _walk(_plan(graph, k, _check_enum_args(graph, k, max_numerator)), 0, [0] * len(graph.edges), found)
+    return [WeightFunction(graph, k, t) for t in sorted(found)]
+
+
+def _walk(plan: list[_Visit], step: int, nums: list[int], found: list[tuple[int, ...]]) -> None:
+    """Append to found every completion of nums, labelled by the visits before step."""
+    if step == len(plan):
+        found.append(tuple(nums))
+        return
+    visit = plan[step]
+    for new_labels in visit.passing.get(tuple(nums[e] for e in visit.old), ()):
+        for e, j in zip(visit.new, new_labels):
+            nums[e] = j
+        _walk(plan, step + 1, nums, found)
 
 
 def count_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> int:
-    """Number of admissible weights, counted without materializing them."""
-    max_numerator = _check_enum_args(graph, k, max_numerator)
-    return sum(1 for _ in _enumerate_numerators(graph, k, max_numerator))
+    """Number of admissible weights, counted without materializing them.
+
+    A sweep over the plan's vertices that keeps, for each labelling of the
+    edges open so far, how many partial weights end in it.
+    """
+    counts = {(): 1}
+    for visit in _plan(graph, k, _check_enum_args(graph, k, max_numerator)):
+        swept = {}
+        for labels, n in counts.items():
+            kept = tuple(labels[i] for i in visit.kept_at)
+            for new_labels in visit.passing.get(tuple(labels[i] for i in visit.old_at), ()):
+                state = kept + new_labels[: visit.opens]
+                swept[state] = swept.get(state, 0) + n
+        counts = swept
+    return sum(counts.values())
 
 
 def polytope_contains(graph: TrivalentGraph, point: ActionPoint) -> bool:

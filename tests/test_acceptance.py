@@ -48,10 +48,16 @@ def test_weight_counts_equal_dimensions(capsys):
         for graph in graphs3:
             assert count_admissible(graph, k) == dim, (graph.edges, k)
     assert verlinde_dim(3, 1).dim == 8
+    # genus 4, all 17 classes, k = 1..6, and genus 5, all 71 classes, k = 1..2
+    for g, max_k, classes in ((4, 6, 17), (5, 2, 71)):
+        rows, all_match = verify_jw(g, max_k)
+        assert all_match, [row for row in rows if not row["match"]]
+        assert len(rows) == classes * max_k
     _pass(
         capsys,
         "weight counts match dimensions exactly, genus 2 (k=1..6, both graphs, "
-        "oracle-confirmed) and genus 3 (k=1..3, all 5 graphs)",
+        "oracle-confirmed), genus 3 (k=1..3, all 5 graphs), genus 4 (k=1..6, "
+        "all 17 graphs) and genus 5 (k=1..2, all 71 graphs)",
     )
 
 
@@ -98,7 +104,7 @@ def test_bridge_parity_on_the_dumbbell(capsys):
     _pass(
         capsys,
         f"dumbbell k=2: all {len(enumerated)} weights have even bridge "
-        f"numerator; backtracker equals the 27-labeling brute force",
+        f"numerator; the listing equals the 27-labeling brute force",
     )
 
 

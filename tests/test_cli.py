@@ -305,13 +305,13 @@ def test_verify_jw_negative_control_fails(capsys):
 
 
 def test_verify_jw_rejects_other_genera(capsys):
-    code, out, err = run_cli(capsys, "verify-jw", "--genus", "4", "--max-level", "1")
+    # the rule of graphs: genus 1 has no trivalent graph
+    code, out, err = run_cli(capsys, "verify-jw", "--genus", "1", "--max-level", "1")
     assert code == 2
     assert out == ""
 
 
 def test_verify_jw_holds_on_every_genus_4_class():
-    # the genus cap is the command's, not the identity's
     rows, ok = bsq.cli.verify_jw(4, 2)
     assert ok is True
     assert len(rows) == 17 * 2
@@ -352,7 +352,8 @@ USAGE_ERRORS = {
     "ucurve grid": ({}, ("ucurve", "--level", "1", "--u", "1", "--grid", "1", "--tol", "0"),
                     "--grid must be >= 2, got 1"),
     "ucurve tol": ({}, ("ucurve", "--level", "1", "--u", "1", "--tol", "inf"), "--tol must be positive and finite, got inf"),
-    "verify-jw genus": ({}, ("verify-jw", "--genus", "4", "--max-level", "0"), "--genus must be 2 or 3, got 4"),
+    "verify-jw genus": ({}, ("verify-jw", "--genus", "1", "--max-level", "0"),
+                        "--genus must be >= 2 for graph generation, got 1"),
     "verify-jw max level": ({"BSQ_PRECISION": "32"}, ("verify-jw", "--genus", "2", "--max-level", "0"),
                             "--max-level must be >= 1, got 0"),
     "verify-jw precision": ({"BSQ_PRECISION": "32"}, ("verify-jw", "--genus", "2", "--max-level", "1"),

@@ -10,6 +10,8 @@ from bsq.trigraph import (
     DUMBBELL_GRAPH,
     THETA_GRAPH,
     TrivalentGraph,
+    _least_key,
+    _matrix,
     bridges,
     canonical_key,
     generate_trivalent,
@@ -111,6 +113,23 @@ def test_relabelled_genus4_classes_keep_their_key(seed):
         assert [is_isomorphic(shuffled, other) for other in graphs] == [
             other is graph for other in graphs
         ]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_least_key_ordering_rebuilds_the_key(g):
+    # the ordering _least_key returns with the key, applied to a relabelled
+    # class's matrix, borders row by row into that same key
+    rng = random.Random(g)
+    for graph in generate_trivalent(g):
+        perm = list(range(graph.vertex_count))
+        rng.shuffle(perm)
+        mat = _matrix(relabel(graph, perm))
+        key, ordering = _least_key(mat, graph.vertex_count)
+        assert sorted(ordering) == list(range(graph.vertex_count))
+        rebuilt = ()
+        for r, v in enumerate(ordering):
+            rebuilt += (mat[v][v], *[mat[v][u] for u in ordering[:r]])
+        assert rebuilt == key == canonical_key(graph)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

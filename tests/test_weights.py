@@ -5,7 +5,7 @@ import pytest
 
 import _oracles
 import bsq.weights as weights_module
-from bsq.trigraph import DUMBBELL_GRAPH, THETA_GRAPH, TrivalentGraph, bridges, generate_trivalent
+from bsq.trigraph import DUMBBELL_GRAPH, THETA_GRAPH, TrivalentGraph, generate_trivalent
 from bsq.verlinde import verlinde_dim
 from bsq.weights import (
     ShapeMismatch,
@@ -15,6 +15,20 @@ from bsq.weights import (
     is_admissible,
     polytope_contains,
 )
+
+
+def _shuffled(graph, rng):
+    """The same graph with its vertices renumbered and its edges reordered."""
+    perm = list(range(graph.vertex_count))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) for a, b in graph.edges]
+    rng.shuffle(edges)
+    return TrivalentGraph(graph.vertex_count, tuple(edges))
+
+
+# every genus-3 class, renumbered, and two genus-4 classes, renumbered
+_GENUS3 = [_shuffled(graph, random.Random(index)) for index, graph in enumerate(generate_trivalent(3))]
+_GENUS4 = [_shuffled(generate_trivalent(4)[index], random.Random(index)) for index in (3, 12)]
 
 
 def test_theta_level1_weights_are_the_four_even_triples():
@@ -42,10 +56,11 @@ def test_count_identity_genus3_all_graphs(k):
         assert count_admissible(graph, k) == dim, graph.edges
 
 
-@pytest.mark.parametrize("graph", [THETA_GRAPH, DUMBBELL_GRAPH])
+@pytest.mark.parametrize("graph", [THETA_GRAPH, DUMBBELL_GRAPH, *_GENUS3])
 @pytest.mark.parametrize("k", range(1, 5))
 @pytest.mark.parametrize("open_range", [False, True])
 def test_backtracker_matches_exhaustive_filter(graph, k, open_range):
+    # the name predates the sweep; it is kept so that the test's ids stay stable
     max_numerator = k - 1 if open_range else None
     expected = _oracles.oracle_count(
         graph.vertex_count, graph.edges, k, max_numerator=max_numerator
@@ -61,7 +76,7 @@ def test_open_range_breaks_the_count_on_purpose():
 
 @pytest.mark.parametrize("k", range(1, 5))
 def test_enumerate_and_count_agree(k):
-    for graph in (THETA_GRAPH, DUMBBELL_GRAPH):
+    for graph in (THETA_GRAPH, DUMBBELL_GRAPH, *generate_trivalent(3), *_GENUS4):
         listed = enumerate_admissible(graph, k)
         assert len(listed) == count_admissible(graph, k)
         nums = [w.numerators for w in listed]
@@ -109,6 +124,15 @@ def test_is_admissible_accepts_weight_function_or_raw_tuple():
     assert is_admissible(THETA_GRAPH, 2, w).admissible
     assert is_admissible(THETA_GRAPH, 2, (1, 1, 2)).admissible
     assert is_admissible(THETA_GRAPH, 2, [1, 1, 2]).admissible
+
+
+def test_is_admissible_rejects_what_weight_function_rejects():
+    # a bare numerator sequence is validated as a WeightFunction is
+    for graph, nums in ((THETA_GRAPH, (0.5, 0.5, 1.0)), (DUMBBELL_GRAPH, (1, 0.0, 1)), (THETA_GRAPH, (0, 1, -1))):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            is_admissible(graph, 1, nums)
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        is_admissible(THETA_GRAPH, 0, (0, 0, 0))
 
 
 def test_weight_function_labels_are_fractions():
@@ -171,15 +195,6 @@ def test_genus4_spot_check_against_dimension():
     assert count_admissible(graph, 2) == verlinde_dim(4, 2).dim
 
 
-def _shuffled(graph, rng):
-    """The same graph with its vertices renumbered and its edges reordered."""
-    perm = list(range(graph.vertex_count))
-    rng.shuffle(perm)
-    edges = [(perm[a], perm[b]) for a, b in graph.edges]
-    rng.shuffle(edges)
-    return TrivalentGraph(graph.vertex_count, tuple(edges))
-
-
 def _search_steps(graph, k, monkeypatch):
     """How many vertex checks count_admissible makes, and its count."""
     calls = []
@@ -195,38 +210,46 @@ def _search_steps(graph, k, monkeypatch):
     return len(calls), count
 
 
+def _plan_shape(graph, k):
+    """Per visit: how many edges it closes, keeps open and opens, and its passing labellings."""
+    return [
+        (len(v.old), len(v.kept_at), v.opens, sum(map(len, v.passing.values())))
+        for v in weights_module._plan(graph, k, k)
+    ]
+
+
 @pytest.mark.parametrize("g, k", [(3, 4), (3, 8), (4, 4)])
 def test_search_cost_does_not_depend_on_the_labelling(g, k, monkeypatch):
-    # the greedy order alone varied up to 2.5-fold in steps over such
-    # relabellings; the searched order is chosen from the structure
+    # ties in the vertex order go by the canonical ordering, so a relabelling
+    # changes neither the tables nor the shape of the sweep
     rng = random.Random(1000 * g + k)
     dim = verlinde_dim(g, k).dim
-    graphs = generate_trivalent(g)
-    # at genus 4, to keep the test short, four classes whose greedy cost
-    # varied about 2-fold
-    for graph in graphs if g == 3 else [graphs[i] for i in (7, 8, 9, 10)]:
+    for graph in generate_trivalent(g):
         steps, count = _search_steps(graph, k, monkeypatch)
         assert count == dim
+        shape = _plan_shape(graph, k)
         for _ in range(3):
-            assert _search_steps(_shuffled(graph, rng), k, monkeypatch) == (steps, dim), graph.edges
+            shuffled = _shuffled(graph, rng)
+            assert _search_steps(shuffled, k, monkeypatch) == (steps, dim), graph.edges
+            assert _plan_shape(shuffled, k) == shape, graph.edges
 
 
-def test_passing_triples_match_the_vertex_conditions():
-    for k in range(1, 9):
-        for max_numerator in range(k + 1):
-            values = range(max_numerator + 1)
-            triples = [(x, y, z) for x in values for y in values for z in values]
-            brute = sum(1 for ends in triples if not weights_module._vertex_conditions(ends, k))
-            assert weights_module._passing_triples(k, max_numerator) == brute
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_vertex_order_is_a_permutation_of_the_vertices(g):
+    for graph in generate_trivalent(g):
+        assert sorted(weights_module._vertex_order(graph)) == list(range(graph.vertex_count))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_edge_order_is_a_permutation_of_the_edges(k):
+    # the plan labels each edge once, and reads only edges labelled before
     for g in (2, 3, 4):
         for graph in generate_trivalent(g):
-            inc = weights_module._incidence(graph)
-            order = weights_module._edge_order(graph, inc, bridges(graph), k, k)
-            assert sorted(order) == list(range(len(graph.edges)))
+            labelled = []
+            for visit in weights_module._plan(graph, k, k):
+                assert set(visit.old) <= set(labelled)
+                labelled.extend(visit.new)
+            assert sorted(labelled) == list(range(len(graph.edges)))
 
 
 def test_genus4_counts_match_the_dimension_at_level_4():
@@ -236,14 +259,13 @@ def test_genus4_counts_match_the_dimension_at_level_4():
         assert count_admissible(_shuffled(graph, rng), 4) == dim, graph.edges
 
 
-def test_graphs_above_the_order_search_cap_take_the_greedy_order():
-    # the prism over a hexagon: 12 vertices, genus 7
+def test_graphs_above_the_canonical_rank_cap_count_and_list():
+    # the prism over a hexagon: 12 vertices, genus 7; its vertex order breaks
+    # ties by the input numbering
     edges = [(i, (i + 1) % 6) for i in range(6)]
     edges += [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
     edges += [(i, i + 6) for i in range(6)]
     graph = TrivalentGraph(12, tuple(edges))
-    assert graph.vertex_count > weights_module._ORDER_SEARCH_MAX_VERTICES
-    inc = weights_module._incidence(graph)
-    order = weights_module._edge_order(graph, inc, bridges(graph), 3, 3)
-    assert order == weights_module._greedy_edge_order(graph)
+    assert graph.vertex_count > weights_module._CANONICAL_RANK_MAX_VERTICES
     assert count_admissible(graph, 1) == verlinde_dim(7, 1).dim == 2**7
+    assert len(enumerate_admissible(graph, 1)) == 2**7
