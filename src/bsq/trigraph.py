@@ -125,7 +125,10 @@ def _least_key(mat, n, bound=None):
                 return True
         return False
 
-    extend((), 0, ())
+    try:
+        extend((), 0, ())
+    finally:
+        del extend  # extend refers to itself through its closure; free it without the cyclic collector
     return (None, None) if best_perm is None else (best, best_perm)
 
 
@@ -226,7 +229,10 @@ def generate_trivalent(g: int) -> list[TrivalentGraph]:
                 deg[w] -= m
             mat[v][w] = mat[w][v] = 0
 
-    place(0, 0, ())
+    try:
+        place(0, 0, ())
+    finally:
+        del place  # as in _least_key: the closure's reference cycle is broken here
     return [_graph_from_key(key, n) for key in sorted(keys)]
 
 

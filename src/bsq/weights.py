@@ -12,10 +12,11 @@ and 4. every bridge edge has an even numerator.
 
 Labels run over {0, 1/k, ..., k/k}; the count of admissible labelings equals
 the Verlinde dimension, which is what ties this module to verlinde.py.
-Conditions 1-3 are the su(2)_k fusion rule N_abc in {0, 1} and condition 4 a
-parity mask, so counting and listing share one plan: the vertices in an order
-taken from the graph's structure, each with a table from the labels of its
-ends labelled before to the labels of its new edges that pass it.  The count
+Conditions 1-3 are the su(2)_k fusion rule N_abc in {0, 1}: given ends a and
+b, the third end runs from |a - b| to min(a + b, 2k - a - b) in steps of 2.
+Counting and listing share one plan: the vertices in an order taken from the
+graph's structure, each with a table, written from that range, from the
+labels of its ends labelled before to those of its new edges.  The count
 sweeps the vertices once, keeping a count per labelling of the open edges;
 the listing walks the same tables depth first.
 """
@@ -86,14 +87,7 @@ def _incidence(graph: TrivalentGraph) -> list[list[int]]:
 def _vertex_conditions(ends, k):
     """Violated condition ids (subset of {1, 2, 3}) for one vertex."""
     s = sum(ends)
-    out = []
-    if s % 2 != 0:
-        out.append(1)
-    if s > 2 * k:
-        out.append(2)
-    if 2 * max(ends) > s:
-        out.append(3)
-    return out
+    return [cond for cond, broken in ((1, s % 2), (2, s > 2 * k), (3, 2 * max(ends) > s)) if broken]
 
 
 def is_admissible(graph: TrivalentGraph, k: int, weight) -> AdmissibilityReport:
@@ -179,8 +173,10 @@ def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
     """One visit per vertex, in _vertex_order, each with its table of passing labels.
 
     A table maps the labels of a vertex's ends labelled before to every
-    labelling of its new edges that passes conditions 1-3 there, bridges
-    taking even values only (condition 4).
+    labelling of its new edges that passes conditions 1-3 there.  It is written
+    from the fusion rule, not by filtering: each distinct end but the last
+    runs over its values, and the last over its fusion range, where it keeps
+    the values it may take (even only on bridges, condition 4).
     """
     bridge_set = bridges(graph)
     values = [range(0, max_numerator + 1, 1 + (e in bridge_set)) for e in range(len(graph.edges))]
@@ -193,12 +189,18 @@ def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
         fresh = sorted(set(inc[v]) - labelled)
         opened = [e for e in fresh if graph.edges[e] != (v, v)]
         new = tuple(opened + [e for e in fresh if graph.edges[e] == (v, v)])
+        *first, last = old + new
         passing = {}
-        for old_labels in itertools.product(*(values[e] for e in old)):
-            for new_labels in itertools.product(*(values[e] for e in new)):
-                label = dict(zip(old + new, old_labels + new_labels))
-                if not _vertex_conditions([label[e] for e in inc[v]], k):
-                    passing.setdefault(old_labels, []).append(new_labels)
+        for labels in itertools.product(*(values[e] for e in first)):
+            if len(first) == 1:  # ends (x, l, l), l the loop and x a bridge, so even: x/2 <= l <= k - x/2
+                fused = range(labels[0] // 2, k - labels[0] // 2 + 1)
+            else:  # ends (a, b, c): c fuses from |a - b| to min(a + b, 2k - a - b) in steps of 2
+                a, b = labels
+                fused = range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)
+            for c in fused:
+                if c in values[last]:
+                    ends = labels + (c,)
+                    passing.setdefault(ends[: len(old)], []).append(ends[len(old):])
         plan.append(_Visit(old, old_at, kept_at, new, len(opened), passing))
         labelled.update(new)
         open_edges = [open_edges[i] for i in kept_at] + opened
@@ -271,8 +273,6 @@ def polytope_contains(graph: TrivalentGraph, point: ActionPoint) -> bool:
     for ends_idx in _incidence(graph):
         ends = [coords[i] for i in ends_idx]
         s = sum(ends)
-        if s > 2:
-            return False
-        if 2 * max(ends) > s:
+        if s > 2 or 2 * max(ends) > s:
             return False
     return True

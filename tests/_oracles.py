@@ -1,8 +1,9 @@
 """Reference implementations kept independent of the package under test.
 
 Graphs are raw (vertex_count, edge list) pairs, bridges come from a naive
-remove-and-check scan, and admissible labelings are counted by exhaustive
-filtering with inline condition checks.  Slow on purpose.  Dimensions at
+remove-and-check scan, and admissible labelings, and the labels that pass
+one vertex, come from exhaustive filtering with inline condition checks.
+Slow on purpose.  Dimensions at
 larger levels come from the trace of a fusion-rule matrix power, and the
 Verlinde sum from a Neumaier loop over mpmath mpf objects.  The u-curve
 slice comes from every (branch, grid index) pair, each minimised over the
@@ -76,6 +77,26 @@ def oracle_count(n, edges, k, max_numerator=None):
         if good:
             count += 1
     return count
+
+
+def oracle_vertex_table(n, edges, k, max_numerator, v, old, new):
+    """Map each labelling of the edges old to the sorted list of labellings of
+    the edges new under which vertex v's three ends (a loop counted twice)
+    pass the parity, level cap and triangle conditions, bridges taking even
+    numerators only.  Every labelling of old + new by 0..max_numerator is
+    tried; keys with nothing passing are left out."""
+    bridge_indices = oracle_bridges(n, edges)
+    table = {}
+    for labels in itertools.product(range(max_numerator + 1), repeat=len(old) + len(new)):
+        label = dict(zip(tuple(old) + tuple(new), labels))
+        if any(label[idx] % 2 for idx in label if idx in bridge_indices):
+            continue
+        ends = [label[idx] for idx, (a, b) in enumerate(edges) for end in (a, b) if end == v]
+        total = sum(ends)
+        if total % 2 or total > 2 * k or 2 * max(ends) > total:
+            continue
+        table.setdefault(labels[: len(old)], []).append(labels[len(old):])
+    return table
 
 
 def oracle_fusion_dimension(g, k):

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import subprocess
@@ -19,6 +20,7 @@ from bsq.trigraph import (
     is_isomorphic,
     parse_graph_text,
 )
+from bsq.weights import count_admissible
 
 # The graphs lists of `bsq graphs --genus 2/3/4` as the walk-then-canonicalise
 # generator printed them: every class, its edge order, bridges and text.
@@ -213,3 +215,19 @@ def test_rejects_disconnected():
 def test_edge_endpoints_are_normalized():
     graph = TrivalentGraph(2, ((1, 0), (1, 0), (0, 1)))
     assert graph.edges == ((0, 1), (0, 1), (0, 1))
+
+
+def test_searches_leave_no_reference_cycles():
+    # the recursive searches are closures that refer to themselves; they are
+    # released when the search ends, so nothing waits for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        classes = generate_trivalent(4)
+        assert gc.collect() == 0
+        canonical_key(classes[5])
+        assert gc.collect() == 0
+        count_admissible(classes[5], 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

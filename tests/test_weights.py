@@ -195,43 +195,59 @@ def test_genus4_spot_check_against_dimension():
     assert count_admissible(graph, 2) == verlinde_dim(4, 2).dim
 
 
-def _search_steps(graph, k, monkeypatch):
-    """How many vertex checks count_admissible makes, and its count."""
-    calls = []
-    check = weights_module._vertex_conditions
-
-    def counted(ends, level):
-        calls.append(None)
-        return check(ends, level)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(weights_module, "_vertex_conditions", counted)
-        count = count_admissible(graph, k)
-    return len(calls), count
-
-
 def _plan_shape(graph, k):
-    """Per visit: how many edges it closes, keeps open and opens, and its passing labellings."""
+    """Per visit: how many edges it closes, keeps open and opens, its keys and its passing labellings."""
     return [
-        (len(v.old), len(v.kept_at), v.opens, sum(map(len, v.passing.values())))
+        (len(v.old), len(v.kept_at), v.opens, len(v.passing), sum(map(len, v.passing.values())))
         for v in weights_module._plan(graph, k, k)
     ]
 
 
 @pytest.mark.parametrize("g, k", [(3, 4), (3, 8), (4, 4)])
-def test_search_cost_does_not_depend_on_the_labelling(g, k, monkeypatch):
+def test_search_cost_does_not_depend_on_the_labelling(g, k):
     # ties in the vertex order go by the canonical ordering, so a relabelling
     # changes neither the tables nor the shape of the sweep
     rng = random.Random(1000 * g + k)
     dim = verlinde_dim(g, k).dim
     for graph in generate_trivalent(g):
-        steps, count = _search_steps(graph, k, monkeypatch)
-        assert count == dim
+        assert count_admissible(graph, k) == dim
         shape = _plan_shape(graph, k)
         for _ in range(3):
             shuffled = _shuffled(graph, rng)
-            assert _search_steps(shuffled, k, monkeypatch) == (steps, dim), graph.edges
+            assert count_admissible(shuffled, k) == dim, graph.edges
             assert _plan_shape(shuffled, k) == shape, graph.edges
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_plan_tables_match_the_exhaustive_vertex_filter(k):
+    # every class up to genus 4, as generated and renumbered: loops, bridges
+    # and parallel edges, with labels up to k and up to k - 1
+    rng = random.Random(k)
+    for g in (2, 3, 4):
+        for graph in generate_trivalent(g):
+            for relabelled in (graph, _shuffled(graph, rng)):
+                order = weights_module._vertex_order(relabelled)
+                for max_numerator in (k, k - 1):
+                    plan = weights_module._plan(relabelled, k, max_numerator)
+                    for v, visit in zip(order, plan):
+                        expected = _oracles.oracle_vertex_table(
+                            relabelled.vertex_count, relabelled.edges, k, max_numerator, v, visit.old, visit.new
+                        )
+                        got = {key: sorted(new) for key, new in visit.passing.items()}
+                        assert got == expected, (relabelled.edges, v, max_numerator)
+
+
+def test_plan_builds_no_table_by_filtering(monkeypatch):
+    # the tables come from the fusion range; the vertex check is for is_admissible's report
+    def refuse(ends, k):
+        raise AssertionError("a plan table was built by filtering")
+
+    monkeypatch.setattr(weights_module, "_vertex_conditions", refuse)
+    for g in (2, 3, 4):
+        dim = verlinde_dim(g, 3).dim
+        for graph in generate_trivalent(g):
+            assert count_admissible(graph, 3) == dim
+            assert len(enumerate_admissible(graph, 2)) == verlinde_dim(g, 2).dim
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
