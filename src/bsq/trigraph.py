@@ -8,9 +8,9 @@ goes through a canonical form: the minimum over vertex permutations of the
 class once, directly as its canonical matrix (orderly generation).
 
 Measured range: `bsq graphs --genus g` on one core of an Intel Xeon under
-Python 3.11, start-up of about 0.1 s included, takes 0.14 s at g = 4
-(17 classes) and 0.86 s at g = 5 (71) as medians of 15 runs, and 21-30 s at
-g = 6 (388) in single runs.  One run of `generate_trivalent(7)` took 31 min
+Python 3.11, start-up of about 0.1 s included, takes 0.15 s at g = 4
+(17 classes) and 0.70 s at g = 5 (71) as medians of 15 runs, and 28-32 s at
+g = 6 (388) in 3 single runs.  One run of `generate_trivalent(7)` took 31 min
 (2,592 classes).
 """
 

@@ -4,26 +4,25 @@ The rank of the level-k quantization over a genus-g surface is
 
     dim(g, k) = ((k+2)/2)^(g-1) * sum_{n=1..k+1} sin(n*pi/(k+2))^(-(2g-2))
 
-Each term is computed with mpmath's low-level functions at prec bits.  The
-terms are summed with Neumaier compensation, run in exact Python-integer
-fixed point: every term is at least 1 with a prec-bit significand, so each
-quantity in the sum is an integer multiple of 2^-(prec-1), and each step
-rounds half to even to prec bits exactly as an mpmath mpf sum does, which
-gives the same raw sum bit for bit.  An explicit rounding-error budget of
-(8g + 8) * 2^-prec relative certifies that the nearest integer is the exact
-value.  The working precision prec is given by the caller (never below 64
-bits) or, by default, chosen before the sum from a double-precision
-estimate of its size, in math alone and over the same folded half of the
-terms: the fewest bits, and at least 96, at which the budget certifies.  If
-the certificate fails the computation raises instead of returning a
-non-integral answer.  No exact cyclotomic arithmetic is attempted here.
+Each term is computed with mpmath's low-level functions at prec bits.  Every
+term is at least 1 with a prec-bit significand, so it is an integer multiple
+of 2^-(prec-1): the terms are added exactly, as Python integers in that fixed
+point, each as soon as it is made, and the total is rounded to prec bits
+once.  The sum holds one term at a time, so its memory does not grow with k.
+An explicit rounding-error budget of (8g + 8) * 2^-prec relative certifies
+that the nearest integer is the exact value.  The working precision prec is
+given by the caller (never below 64 bits) or, by default, chosen before the
+sum from a double-precision estimate of its size, in math alone and over the
+same folded half of the terms: the fewest bits, and at least 96, at which
+the budget certifies.  If the certificate fails the computation raises
+instead of returning a non-integral answer.  No exact cyclotomic arithmetic
+is attempted here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -55,20 +54,6 @@ def _check_genus_and_level(g, k):
         raise ValueError(f"genus must be an integer >= 1, got {g!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"level must be an integer >= 1, got {k!r}")
-
-
-def _round(x: int, prec: int) -> int:
-    """x rounded half to even to prec significant bits, at the scale of x."""
-    drop = x.bit_length() - prec
-    if drop <= 0:
-        return x
-    magnitude = abs(x)
-    kept = magnitude >> drop
-    rest = magnitude - (kept << drop)
-    half = 1 << (drop - 1)
-    if rest > half or (rest == half and kept & 1):
-        kept += 1
-    return kept << drop if x > 0 else -(kept << drop)
 
 
 def working_precision(g: Genus, k: QuantizationLevel) -> int:
@@ -104,12 +89,11 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
     explicit prec is used as given and raises IntegralityFailure when it is
     too low.
 
-    Terms n and k+2-n are equal, so the k // 2 + 1 distinct terms are
-    computed once and held in a list as fixed-point Python integers; the
-    compensated sum still runs over n = 1..k+1 in order, in integers, and
-    gives the raw_sum of the same loop over mpf objects bit for bit.  The
-    sum peaks at about 70 bytes per distinct term (0.7 MB at g = 2,
-    k = 20,000 and 96 bits, by tracemalloc).
+    Terms n and k+2-n are equal, so each of the k // 2 + 1 distinct terms
+    is computed once and added, twice unless it is the middle one, to one
+    exact fixed-point Python integer; raw_sum is that total rounded once to
+    prec bits, times the prefactor.  No term is kept once it is added, so
+    the memory the sum needs does not grow with k.
     """
     import mpmath
     from mpmath.libmp import from_int, mpf_div, mpf_pow_int, mpf_sin_pi
@@ -126,33 +110,27 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
     # sin(n*pi/kk) = sin((kk-n)*pi/kk), so terms n and kk-n are one value.
     # Each term is sinpi(mpf(m) / kk) ** -expo, by the libmp calls that makes.
     # It is >= 1 with at most prec significand bits, so its exponent is at
-    # least 1 - prec and it is an integer multiple of 2^-shift.
+    # least 1 - prec and it is an integer multiple of 2^-shift: the total,
+    # in those units, is exact.
     shift = prec - 1
     kk_mpf = from_int(kk)
-    terms = []
+    total = 0
     for m in range(1, kk // 2 + 1):
         y = mpf_div(from_int(m), kk_mpf, prec, "n")
         _, man, exp, _ = mpf_pow_int(mpf_sin_pi(y, prec, "n"), -expo, prec, "n")
-        terms.append(int(man) << (exp + shift))
-    # Neumaier compensation over n = 1..k+1 in order (m = n up to kk // 2,
-    # then back down to 1), in units of 2^-shift.  The sum s is exact and
-    # each branch of Neumaier's update is an exact Fast2Sum, so only the two
-    # roundings to prec bits remain.
-    total = comp = 0
-    for term in chain(terms, reversed(terms[: k + 1 - len(terms)])):
-        s = total + term
-        t = _round(s, prec)
-        comp = _round(comp + (s - t), prec)
-        total = t
+        term = int(man) << (exp + shift)
+        total += term if 2 * m == kk else 2 * term
 
     with mpmath.workprec(prec):
         prefactor = mpmath.mpf(kk) ** (g - 1) / mpmath.mpf(2) ** (g - 1)
-        raw_sum = prefactor * (mpmath.mpf((total, -shift)) + mpmath.mpf((comp, -shift)))
+        raw_sum = prefactor * mpmath.mpf((total, -shift))
         # Rounding budget, in units of 2^-prec relative error: the folded
         # argument costs 1, sinpi amplifies it by at most |pi*y*cot(pi*y)| <= 1
-        # and adds 1, the power multiplies by expo and adds 1, the compensated
-        # sum of positive terms adds ~2, the prefactor and final product ~4.
-        # (4g + 4) covers it; doubled for slack.
+        # and adds 1, the power multiplies by expo and adds 1, the exact sum
+        # adds only its one rounding, 1, the prefactor and final product ~4.
+        # (4g + 4) covers it; doubled for slack.  An exact sum only removes
+        # error, so the budget is not cut to fit it: that would change the
+        # error_bound and precision every document records.
         rel_bound = mpmath.mpf(8 * g + 8) * mpmath.mpf(2) ** (-prec)
         error_bound = float(raw_sum * rel_bound)
         nearest = mpmath.nint(raw_sum)
