@@ -1,10 +1,13 @@
 """Admissible weights on a trinion graph, and the count they must hit.
 
-Each edge carries a label j/k; a labeling is admissible when every vertex
-satisfies the parity, level-cap, and triangle conditions and every bridge
-numerator is even.  The punchline: the number of admissible labelings is
-the quantization dimension, whichever graph of the genus you pick.
+Each edge carries a label j/k, and a weight is the tuple of its numerators j;
+a labeling is admissible when every vertex satisfies the parity, level-cap,
+and triangle conditions and every bridge numerator is even.  The punchline:
+the number of admissible labelings is the quantization dimension, whichever
+graph of the genus you pick.
 """
+
+from fractions import Fraction
 
 from bsq.trigraph import DUMBBELL_GRAPH, THETA_GRAPH, generate_trivalent
 from bsq.verlinde import verlinde_dim
@@ -14,7 +17,7 @@ from bsq.weights import count_admissible, enumerate_admissible, is_admissible
 def main():
     print("all admissible weights on the theta graph at k=2 (numerators):")
     for w in enumerate_admissible(THETA_GRAPH, 2):
-        print(f"  {w.numerators}  labels {tuple(str(x) for x in w.labels)}")
+        print(f"  {w}  labels {tuple(str(Fraction(j, 2)) for j in w)}")
 
     print()
     print("counts agree with the dimension, graph by graph:")

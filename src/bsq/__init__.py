@@ -48,7 +48,6 @@ from .weights import (
     AdmissibilityReport,
     ShapeMismatch,
     Violation,
-    WeightFunction,
     count_admissible,
     enumerate_admissible,
     is_admissible,
@@ -72,7 +71,6 @@ __all__ = [
     "UCurveSlice",
     "VerlindeValue",
     "Violation",
-    "WeightFunction",
     "bpu_matrix",
     "branch_residual",
     "bridges",

@@ -151,7 +151,7 @@ def _cmd_weights(args: argparse.Namespace):
     else:
         found = enumerate_admissible(graph, k)
         body["count"] = len(found)
-        body["weights"] = [list(w.numerators) for w in found]
+        body["weights"] = [list(w) for w in found]
     return _document(args, p, body), 0
 
 

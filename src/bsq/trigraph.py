@@ -183,7 +183,7 @@ def generate_trivalent(g: int) -> list[TrivalentGraph]:
         # fill cells of row v from column w upward; diagonal cell = loops;
         # key is the bordered encoding of rows 0..v-1, and of row v past w = v
         if v == n:
-            if _connected_mat(mat, n):
+            if _connected(n, [(a, b) for a in range(n) for b in range(a + 1, n) if mat[a][b]]):
                 keys.append(key)
             return
         if w == n:
@@ -234,18 +234,6 @@ def generate_trivalent(g: int) -> list[TrivalentGraph]:
     finally:
         del place  # as in _least_key: the closure's reference cycle is broken here
     return [_graph_from_key(key, n) for key in sorted(keys)]
-
-
-def _connected_mat(mat, n):
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            if w != v and mat[v][w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def is_isomorphic(g1: TrivalentGraph, g2: TrivalentGraph) -> bool:

@@ -10,8 +10,10 @@ contributes its label twice) satisfy, with exact integer arithmetic:
 
 and 4. every bridge edge has an even numerator.
 
-Labels run over {0, 1/k, ..., k/k}; the count of admissible labelings equals
-the Verlinde dimension, which is what ties this module to verlinde.py.
+A weight is passed and returned as its numerators alone, one int per edge in
+the graph's edge order; its labels are Fraction(j, k).  Labels run over
+{0, 1/k, ..., k/k}; the count of admissible labelings equals the Verlinde
+dimension, which is what ties this module to verlinde.py.
 Conditions 1-3 are the su(2)_k fusion rule N_abc in {0, 1}: given ends a and
 b, the third end runs from |a - b| to min(a + b, 2k - a - b) in steps of 2.
 Counting and listing share one plan: the vertices in an order taken from the
@@ -42,30 +44,6 @@ class Violation(NamedTuple):
 
 
 @dataclass(frozen=True)
-class WeightFunction:
-    """Edge labels j_e/k stored as integer numerators over denominator k."""
-
-    graph: TrivalentGraph
-    k: int
-    numerators: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerators", tuple(self.numerators))
-        if self.k < 1:
-            raise ValueError(f"level must be >= 1, got {self.k}")
-        if len(self.numerators) != len(self.graph.edges):
-            raise ShapeMismatch(
-                f"{len(self.numerators)} numerators for {len(self.graph.edges)} edges"
-            )
-        if any(not isinstance(j, int) or j < 0 for j in self.numerators):
-            raise ValueError("numerators must be non-negative integers")
-
-    @property
-    def labels(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(j, self.k) for j in self.numerators)
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
     admissible: bool
     violations: tuple[Violation, ...]
@@ -90,19 +68,14 @@ def _vertex_conditions(ends, k):
     return [cond for cond, broken in ((1, s % 2), (2, s > 2 * k), (3, 2 * max(ends) > s)) if broken]
 
 
-def is_admissible(graph: TrivalentGraph, k: int, weight) -> AdmissibilityReport:
-    """Check all four conditions; the report lists every violation found.
-
-    weight may be a WeightFunction on this graph or a bare numerator sequence.
-    """
-    if isinstance(weight, WeightFunction):
-        if weight.graph != graph:
-            raise ShapeMismatch("weight was built on a different graph")
-        if weight.k != k:
-            raise ShapeMismatch(f"weight has denominator {weight.k}, expected {k}")
-    else:
-        weight = WeightFunction(graph, k, weight)
-    nums = weight.numerators
+def is_admissible(graph: TrivalentGraph, k: int, numerators: Sequence[int]) -> AdmissibilityReport:
+    """Check all four conditions on one numerator per edge; the report lists every violation found."""
+    _check_enum_args(k, None)
+    nums = tuple(numerators)
+    if len(nums) != len(graph.edges):
+        raise ShapeMismatch(f"{len(nums)} numerators for {len(graph.edges)} edges")
+    if any(not isinstance(j, int) or j < 0 for j in nums):
+        raise ValueError("numerators must be non-negative integers")
 
     violations = []
     for v, ends_idx in enumerate(_incidence(graph)):
@@ -207,7 +180,8 @@ def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
     return plan
 
 
-def _check_enum_args(graph, k, max_numerator):
+def _check_enum_args(k, max_numerator):
+    """max_numerator, k when None, once it and the level k are checked."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"level must be an integer >= 1, got {k!r}")
     if max_numerator is None:
@@ -217,16 +191,16 @@ def _check_enum_args(graph, k, max_numerator):
     return max_numerator
 
 
-def enumerate_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> list[WeightFunction]:
-    """All admissible weights, sorted lexicographically by numerators.
+def enumerate_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> list[tuple[int, ...]]:
+    """All admissible weights, as tuples of numerators in edge order, sorted lexicographically.
 
     max_numerator defaults to k (labels up to k/k = 1); passing k-1 restricts
     to the open range {0, ..., (k-1)/k}, which is the documented way to break
     the count identity on purpose.  A depth-first walk over the plan's tables.
     """
     found = []
-    _walk(_plan(graph, k, _check_enum_args(graph, k, max_numerator)), 0, [0] * len(graph.edges), found)
-    return [WeightFunction(graph, k, t) for t in sorted(found)]
+    _walk(_plan(graph, k, _check_enum_args(k, max_numerator)), 0, [0] * len(graph.edges), found)
+    return sorted(found)
 
 
 def _walk(plan: list[_Visit], step: int, nums: list[int], found: list[tuple[int, ...]]) -> None:
@@ -248,7 +222,7 @@ def count_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = 
     edges open so far, how many partial weights end in it.
     """
     counts = {(): 1}
-    for visit in _plan(graph, k, _check_enum_args(graph, k, max_numerator)):
+    for visit in _plan(graph, k, _check_enum_args(k, max_numerator)):
         swept = {}
         for labels, n in counts.items():
             kept = tuple(labels[i] for i in visit.kept_at)

@@ -53,12 +53,13 @@ def oracle_bridges(n, edges):
     return out
 
 
-def oracle_count(n, edges, k, max_numerator=None):
-    """Exhaustively count labelings passing the four admissibility conditions."""
+def oracle_weights(n, edges, k, max_numerator=None):
+    """Every labeling passing the four admissibility conditions, found by
+    trying them all, as sorted tuples of numerators in edge order."""
     if max_numerator is None:
         max_numerator = k
     bridge_indices = oracle_bridges(n, edges)
-    count = 0
+    found = []
     for labels in itertools.product(range(max_numerator + 1), repeat=len(edges)):
         if any(labels[i] % 2 for i in bridge_indices):
             continue
@@ -75,8 +76,13 @@ def oracle_count(n, edges, k, max_numerator=None):
                 good = False
                 break
         if good:
-            count += 1
-    return count
+            found.append(labels)
+    return sorted(found)
+
+
+def oracle_count(n, edges, k, max_numerator=None):
+    """How many labelings oracle_weights finds."""
+    return len(oracle_weights(n, edges, k, max_numerator))
 
 
 def oracle_vertex_table(n, edges, k, max_numerator, v, old, new):

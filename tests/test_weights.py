@@ -9,7 +9,6 @@ from bsq.trigraph import DUMBBELL_GRAPH, THETA_GRAPH, TrivalentGraph, generate_t
 from bsq.verlinde import verlinde_dim
 from bsq.weights import (
     ShapeMismatch,
-    WeightFunction,
     count_admissible,
     enumerate_admissible,
     is_admissible,
@@ -32,13 +31,13 @@ _GENUS4 = [_shuffled(generate_trivalent(4)[index], random.Random(index)) for ind
 
 
 def test_theta_level1_weights_are_the_four_even_triples():
-    got = [w.numerators for w in enumerate_admissible(THETA_GRAPH, 1)]
+    got = enumerate_admissible(THETA_GRAPH, 1)
     assert got == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
 
 def test_dumbbell_level1_weights_leave_the_bridge_at_zero():
     # edge order: loop at 0, bridge, loop at 1
-    got = [w.numerators for w in enumerate_admissible(DUMBBELL_GRAPH, 1)]
+    got = enumerate_admissible(DUMBBELL_GRAPH, 1)
     assert got == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
 
 
@@ -62,10 +61,11 @@ def test_count_identity_genus3_all_graphs(k):
 def test_backtracker_matches_exhaustive_filter(graph, k, open_range):
     # the name predates the sweep; it is kept so that the test's ids stay stable
     max_numerator = k - 1 if open_range else None
-    expected = _oracles.oracle_count(
+    expected = _oracles.oracle_weights(
         graph.vertex_count, graph.edges, k, max_numerator=max_numerator
     )
-    assert count_admissible(graph, k, max_numerator=max_numerator) == expected
+    assert count_admissible(graph, k, max_numerator=max_numerator) == len(expected)
+    assert enumerate_admissible(graph, k, max_numerator=max_numerator) == expected
 
 
 def test_open_range_breaks_the_count_on_purpose():
@@ -79,9 +79,7 @@ def test_enumerate_and_count_agree(k):
     for graph in (THETA_GRAPH, DUMBBELL_GRAPH, *generate_trivalent(3), *_GENUS4):
         listed = enumerate_admissible(graph, k)
         assert len(listed) == count_admissible(graph, k)
-        nums = [w.numerators for w in listed]
-        assert nums == sorted(nums)
-        assert len(set(nums)) == len(nums)
+        assert listed == sorted(set(listed))
 
 
 def test_every_enumerated_weight_passes_the_checker():
@@ -95,7 +93,7 @@ def test_every_enumerated_weight_passes_the_checker():
 def test_dumbbell_bridge_numerators_are_always_even():
     for k in range(1, 6):
         for w in enumerate_admissible(DUMBBELL_GRAPH, k):
-            assert w.numerators[1] % 2 == 0
+            assert w[1] % 2 == 0
 
 
 def test_odd_bridge_numerator_trips_condition_4():
@@ -120,44 +118,22 @@ def test_triangle_violation():
 
 
 def test_is_admissible_accepts_weight_function_or_raw_tuple():
-    w = WeightFunction(THETA_GRAPH, 2, (1, 1, 2))
-    assert is_admissible(THETA_GRAPH, 2, w).admissible
+    # named when a weight could also be a wrapper object; kept so that its id stays
     assert is_admissible(THETA_GRAPH, 2, (1, 1, 2)).admissible
     assert is_admissible(THETA_GRAPH, 2, [1, 1, 2]).admissible
 
 
 def test_is_admissible_rejects_what_weight_function_rejects():
-    # a bare numerator sequence is validated as a WeightFunction is
+    # named for the wrapper class that once did this validation; kept so that its id stays
     for graph, nums in ((THETA_GRAPH, (0.5, 0.5, 1.0)), (DUMBBELL_GRAPH, (1, 0.0, 1)), (THETA_GRAPH, (0, 1, -1))):
         with pytest.raises(ValueError, match="non-negative integers"):
             is_admissible(graph, 1, nums)
-    with pytest.raises(ValueError, match="level must be >= 1"):
-        is_admissible(THETA_GRAPH, 0, (0, 0, 0))
-
-
-def test_weight_function_labels_are_fractions():
-    w = WeightFunction(THETA_GRAPH, 4, (2, 3, 1))
-    assert w.labels == (Fraction(1, 2), Fraction(3, 4), Fraction(1, 4))
-
-
-def test_weight_function_validation():
-    with pytest.raises(ShapeMismatch):
-        WeightFunction(THETA_GRAPH, 2, (1, 1))
-    with pytest.raises(ValueError):
-        WeightFunction(THETA_GRAPH, 2, (1, 1, -1))
-    with pytest.raises(ValueError):
-        WeightFunction(THETA_GRAPH, 0, (0, 0, 0))
-
-
-def test_is_admissible_rejects_mismatched_weight_function():
-    w = WeightFunction(DUMBBELL_GRAPH, 2, (0, 0, 0))
-    with pytest.raises(ShapeMismatch):
-        is_admissible(THETA_GRAPH, 2, w)
-    w2 = WeightFunction(THETA_GRAPH, 3, (0, 0, 0))
-    with pytest.raises(ShapeMismatch):
-        is_admissible(THETA_GRAPH, 2, w2)
-    with pytest.raises(ShapeMismatch):
-        is_admissible(THETA_GRAPH, 2, (0, 0))
+    for k in (0, 2.5, 2.0):
+        with pytest.raises(ValueError, match="level must be an integer >= 1"):
+            is_admissible(THETA_GRAPH, k, (1, 1, 2))
+    for nums in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ShapeMismatch):
+            is_admissible(THETA_GRAPH, 2, nums)
 
 
 def test_enumeration_argument_validation():
@@ -173,7 +149,7 @@ def test_admissible_labels_lie_in_the_polytope():
     # exact rational coordinates, so boundary weights stay inside
     for graph in (THETA_GRAPH, DUMBBELL_GRAPH):
         for w in enumerate_admissible(graph, 3):
-            assert polytope_contains(graph, w.labels)
+            assert polytope_contains(graph, [Fraction(j, 3) for j in w])
 
 
 def test_polytope_rejects_outside_points():
