@@ -1,4 +1,10 @@
-"""JSON text for bsq documents, byte for byte as json.dumps(..., sort_keys=True, indent=2)."""
+"""JSON text for bsq documents, byte for byte as json.dumps(..., sort_keys=True, indent=2).
+
+The text is streamed one value at a time.  The costly part of a large document
+is float.__repr__, so what repeats is formatted once: a list of like records
+from one %-template, and each row of a complex matrix from the text of its
+least repeating block of [re, im] pairs, found by comparing the row's bytes.
+"""
 
 from __future__ import annotations
 
@@ -114,17 +120,30 @@ def _write_records(records: list, write, nl: str) -> bool:
 
 
 def _write_complex(matrix, write, nl: str) -> None:
-    """A complex matrix (a numpy ndarray) as rows of [re, im] pairs, one row at a time."""
+    """A complex matrix (a numpy ndarray) as rows of [re, im] pairs, one row at a time.
+
+    A finite row whose bytes repeat with period p, the least divisor of the
+    row width for which they do, is written from the text of its first p
+    pairs, repeated width/p times.  Equal bytes give equal text, so the
+    output is the same as pair by pair; comparing bytes, not values, keeps
+    0.0 and -0.0 apart.  A row of theta values c_j * omega^(j*l mod k) has
+    period k/gcd(j, k).  Rows with NaN or an infinity go through _write.
+    """
     import numpy as np
 
     inner, row_nl, pair_nl = nl + "  ", nl + "    ", nl + "      "
-    pair = "[" + pair_nl + "%r," + pair_nl + "%r" + row_nl + "]"
-    template = "[" + row_nl + ("," + row_nl).join([pair] * matrix.shape[1]) + inner + "]"
+    comma, pair = "," + row_nl, "[" + pair_nl + "%r," + pair_nl + "%r" + row_nl + "]"
+    width = matrix.shape[1]
+    periods = [p for p in range(1, width + 1) if width % p == 0]
     sep = "[" + inner
     for row in matrix:
         write(sep)
         if np.isfinite(row).all():
-            write(template % tuple(np.stack((row.real, row.imag), axis=-1).ravel().tolist()))
+            data, size = row.tobytes(), row.itemsize
+            p = next(p for p in periods if data[size * p :] == data[: len(data) - size * p])
+            head = row[:p]
+            block = comma.join([pair] * p) % tuple(np.stack((head.real, head.imag), axis=-1).ravel().tolist())
+            write("[" + row_nl + comma.join([block] * (width // p)) + inner + "]")
         else:
             _write([[z.real, z.imag] for z in row.tolist()], write, inner)
         sep = "," + inner
@@ -139,10 +158,11 @@ def dump(value, write) -> None:
     item, a flat list of ints with one repr, a list of like records (such as
     the points of a u-curve slice) one record at a time from one %-template,
     and a complex matrix (an ndarray, which json cannot write) as rows of
-    [re, im] pairs with one %-template per row, so the text held at once is
-    about one row.  int and float are written
-    with int.__repr__ and float.__repr__, as json writes them; the type checks
-    are exact, so bool and float subclasses are not covered.  NaN, infinities
-    and every other value go through json itself.
+    [re, im] pairs, so the text held at once is about one row.  A row whose
+    bytes repeat with a period that divides its width has its first period
+    formatted once and that text repeated (see _write_complex).  int and
+    float are written with int.__repr__ and float.__repr__, as json writes
+    them; the type checks are exact, so bool and float subclasses are not
+    covered.  NaN, infinities and every other value go through json itself.
     """
     _write(value, write, "\n")

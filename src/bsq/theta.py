@@ -177,7 +177,11 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     is norm * c_j * omega^(j*l).  The nulls are one centred sum: for every
     class j + kZ at once, S_j = sum_{|n| <= N} exp(pi*i*tau*n*(2*m0 + n*k)),
     one length-k vector per offset n, with N the window of w = 1, z = 0,
-    which covers every class.  Raises ValueError when an entry is not finite.
+    which covers every class.  Classes j and k - j have opposite m0, which
+    only swaps the two terms added per offset, so c_{k-j} == c_j bit for bit.
+    F is taken from the k powers omega^m at m = j*l mod k, so row j of the
+    entries is k/gcd(j, k)-periodic bit for bit.  Raises ValueError when an
+    entry is not finite.
     """
     import numpy as np
 
@@ -195,7 +199,7 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     centre = phase * (m0 * m0) / k
     log_moduli = math.log(norm) + centre.real + np.log(np.abs(sums))
     nulls = np.exp(centre) * sums
-    dft = np.exp(2j * np.pi * (np.outer(j, j) % k) / k)
+    dft = np.exp(2j * np.pi * j / k)[np.outer(j, j) % k]
     # a null below the normal range has lost bits that a norm above 1 would
     # bring back into range, so those rows are taken from exp(ln norm + ...)
     low = np.abs(nulls) < sys.float_info.min

@@ -699,6 +699,25 @@ def test_dumps_matches_json_on_edge_values(body):
         np.array([[1 + 2j, -0.0 - 0.0j], [5e-324 + 1e308j, 0.1 - 0.2j]]),
         np.array([[complex("nan+1j"), 1j], [complex("inf-1j"), -1.0 + 0j]]),
         np.array([[3 + 4j]]),
+        # row j repeats every k/gcd(j, k) entries; the writer formats each repeating block once
+        *(
+            pytest.param(bpu_matrix(k, tau=tau, norm=norm).entries, id=f"theta-k{k}-tau{tau}-norm{norm}")
+            for k in (1, 2, 3, 64, 96, 97, 128, 200)
+            for tau in (1j, 0.3 + 0.1j)
+            for norm in (1.0, 2.5)
+        ),
+        # equal as values, not as bits: period 2, not 1
+        pytest.param(
+            np.array([[0.0, -0.0, 0.0, -0.0], [0j, complex(0.0, -0.0), 0j, complex(0.0, -0.0)]]), id="signed-zeros"
+        ),
+        pytest.param(np.array([[1 + 1j, 2 + 2j, 1 + 1j, 2 + 2j, 1 + 1j, 3 + 2j]]), id="periodic-but-the-last"),
+        # repeat lengths 2 and 4 that do not divide the widths 5 and 6
+        pytest.param(np.array([[1 + 1j, 2 - 2j, 1 + 1j, 2 - 2j, 1 + 1j]]), id="period-2-in-width-5"),
+        pytest.param(np.array([[1j, 2j, 3j, 4j, 1j, 2j]]), id="period-4-in-width-6"),
+        pytest.param(np.array([[5e-324 + 0.1j] * 6, [-5e-324 - 0.1j, 5e-324 + 0.1j] * 3]), id="subnormal-rows"),
+        pytest.param(np.array([[complex("nan+nanj")] * 4, [complex("inf+0j")] * 4, [1 + 0j] * 4]), id="non-finite-rows"),
+        pytest.param(np.full((2, 4), 0.1 + 0.2j, dtype=np.complex64), id="complex64"),
+        pytest.param(bpu_matrix(12, tau=0.3 + 0.1j).entries.T, id="theta-k12-transposed"),
     ],
 )
 def test_dumps_writes_a_complex_matrix_as_rows_of_pairs(matrix):

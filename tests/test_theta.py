@@ -267,6 +267,16 @@ def test_cli_theta_basis_spectrum_at_high_level(tmp_path, k):
         assert abs(mpmath.mpf(doc["det_modulus"]) / det - 1) < 1e-6
 
 
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.1j])
+@pytest.mark.parametrize("k", [96, 97, 200])
+def test_theta_rows_repeat_bit_for_bit(k, tau):
+    # the document writer writes each repeating block of a row once
+    m = bpu_matrix(k, tau=tau)
+    for j, row in enumerate(m.entries):
+        assert row.tobytes() == np.roll(row, k // math.gcd(j, k)).tobytes(), j
+    assert m.nulls[1:].tobytes() == m.nulls[:0:-1].tobytes()
+
+
 def test_subnormal_norm_shifts_the_log_determinant():
     # the entries are subnormal doubles; the logarithms carry ln(norm) exactly
     base = bpu_matrix(3)
