@@ -32,7 +32,7 @@ from .theta import TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
 from .verlinde import MIN_PRECISION, IntegralityFailure, verlinde_dim, working_precision
-from .weights import ShapeMismatch, count_admissible, enumerate_admissible
+from .weights import ShapeMismatch, _level_counts, count_admissible, enumerate_admissible
 
 
 class UsageError(Exception):
@@ -230,6 +230,9 @@ def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = N
     Returns (rows, all_match).  open_range restricts numerators to 0..k-1,
     the deliberately broken variant kept as a negative control.  prec is the
     working precision of every dimension; by default working_precision(g, max_k).
+    Each graph's counts come from one plan: its vertex order, bridges and edge
+    bookkeeping are found once, and its tables grow a level before each
+    level's sweep, so levels 1..max_k cost about as much as one level-max_k plan.
     """
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
@@ -238,9 +241,7 @@ def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = N
     # the dimension depends on the genus and level, not on the graph
     dims = [verlinde_dim(g, k, prec=prec).dim for k in range(1, max_k + 1)]
     for index, graph in enumerate(generate_trivalent(g)):
-        for k, dim in enumerate(dims, start=1):
-            max_numerator = k - 1 if open_range else None
-            count = count_admissible(graph, k, max_numerator=max_numerator)
+        for k, (dim, count) in enumerate(zip(dims, _level_counts(graph, max_k, open_range)), start=1):
             rows.append(
                 {
                     "graph_index": index,

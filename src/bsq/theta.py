@@ -39,6 +39,9 @@ if TYPE_CHECKING:
 
 TRUNCATION_CAP = 10**6
 DEFAULT_EPS = 1e-12
+# bpu_matrix makes its entries in blocks of rows of about this many entries, so
+# that no k x k temporary is held beside them; k <= 200 is one block
+_BLOCK_ENTRIES = 200 * 200
 
 
 class TruncationFailure(ArithmeticError):
@@ -199,16 +202,32 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     centre = phase * (m0 * m0) / k
     log_moduli = math.log(norm) + centre.real + np.log(np.abs(sums))
     nulls = np.exp(centre) * sums
-    dft = np.exp(2j * np.pi * j / k)[np.outer(j, j) % k]
+    powers = np.exp(2j * np.pi * j / k)
     # a null below the normal range has lost bits that a norm above 1 would
     # bring back into range, so those rows are taken from exp(ln norm + ...)
     low = np.abs(nulls) < sys.float_info.min
-    with np.errstate(over="ignore"):
-        entries = norm * (nulls[:, None] * dft)
-        entries[low] = (np.exp(math.log(norm) + centre[low]) * sums[low])[:, None] * dft[low]
-    if not np.isfinite(entries).all():
-        raise ValueError(
-            f"norm = {norm} puts matrix entries beyond the double range "
-            f"(k={k}, tau={tau}, largest ln|norm * c_j| = {log_moduli.max():.6g})"
-        )
+    # blocks of whole rows, the last one taking the rest.  numpy computes
+    # norm * product as product * norm, in place, once the product holds 256 KiB
+    # (16384 entries), and the operand order decides the sign of an underflowed
+    # zero: from k = 128 on every block is that large, as the whole matrix is
+    rows = max(1, _BLOCK_ENTRIES // k)
+    bounds = [*range(0, max(k - rows, 1), rows), k]
+    entries = np.empty((k, k), dtype=complex) if len(bounds) > 2 else None
+    for top, bottom in zip(bounds, bounds[1:]):
+        dft = powers[np.outer(j[top:bottom], j) % k]
+        lows = low[top:bottom]
+        with np.errstate(over="ignore"):
+            block = norm * (nulls[top:bottom, None] * dft)
+            if lows.any():
+                scaled = np.exp(math.log(norm) + centre[top:bottom][lows]) * sums[top:bottom][lows]
+                block[lows] = scaled[:, None] * dft[lows]
+        if not np.isfinite(block).all():
+            raise ValueError(
+                f"norm = {norm} puts matrix entries beyond the double range "
+                f"(k={k}, tau={tau}, largest ln|norm * c_j| = {log_moduli.max():.6g})"
+            )
+        if entries is None:  # one block: the whole matrix
+            entries = block
+        else:
+            entries[top:bottom] = block
     return ThetaBasisMatrix(k=k, entries=entries, log_moduli=log_moduli, tau=tau, eps=eps, norm_constant=norm)

@@ -21,11 +21,16 @@ graph's structure, each with a table, written from that range, from the
 labels of its ends labelled before to those of its new edges.  The count
 sweeps the vertices once, keeping a count per labelling of the open edges;
 the listing walks the same tables depth first.
+A plan is split in two.  Its skeleton, the vertex order with each vertex's
+edge bookkeeping and the bridges, does not depend on the level.  Its tables
+grow with the level: a labelling enters its vertex's table at the least level
+that admits it, so a sweep over levels 1..K builds one skeleton and adds each
+level's labellings before that level's count, at about the cost of one
+level-K plan.  A single count or listing grows its tables to k in one step.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -112,7 +117,8 @@ class _Visit(NamedTuple):
     kept_at: tuple[int, ...]  # the places of the open edges that stay open
     new: tuple[int, ...]  # its edges labelled here: those it opens, then its loops
     opens: int
-    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels
+    steps: tuple[int, ...]  # the step between the values of each end of old + new: 2 on a bridge, else 1
+    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels, grown by _grow
 
 
 def _vertex_order(graph: TrivalentGraph) -> list[int]:
@@ -142,17 +148,13 @@ def _vertex_order(graph: TrivalentGraph) -> list[int]:
     return order
 
 
-def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
-    """One visit per vertex, in _vertex_order, each with its table of passing labels.
+def _skeleton(graph: TrivalentGraph) -> list[_Visit]:
+    """One visit per vertex, in _vertex_order, each with an empty table.
 
-    A table maps the labels of a vertex's ends labelled before to every
-    labelling of its new edges that passes conditions 1-3 there.  It is written
-    from the fusion rule, not by filtering: each distinct end but the last
-    runs over its values, and the last over its fusion range, where it keeps
-    the values it may take (even only on bridges, condition 4).
+    This is the part of a plan that does not depend on the level, so a sweep
+    over the levels builds it once and grows its tables with _grow.
     """
     bridge_set = bridges(graph)
-    values = [range(0, max_numerator + 1, 1 + (e in bridge_set)) for e in range(len(graph.edges))]
     inc = _incidence(graph)
     labelled, open_edges, plan = set(), [], []
     for v in _vertex_order(graph):
@@ -162,21 +164,63 @@ def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
         fresh = sorted(set(inc[v]) - labelled)
         opened = [e for e in fresh if graph.edges[e] != (v, v)]
         new = tuple(opened + [e for e in fresh if graph.edges[e] == (v, v)])
-        *first, last = old + new
-        passing = {}
-        for labels in itertools.product(*(values[e] for e in first)):
-            if len(first) == 1:  # ends (x, l, l), l the loop and x a bridge, so even: x/2 <= l <= k - x/2
-                fused = range(labels[0] // 2, k - labels[0] // 2 + 1)
-            else:  # ends (a, b, c): c fuses from |a - b| to min(a + b, 2k - a - b) in steps of 2
-                a, b = labels
-                fused = range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)
-            for c in fused:
-                if c in values[last]:
-                    ends = labels + (c,)
-                    passing.setdefault(ends[: len(old)], []).append(ends[len(old):])
-        plan.append(_Visit(old, old_at, kept_at, new, len(opened), passing))
+        steps = tuple(1 + (e in bridge_set) for e in old + new)
+        plan.append(_Visit(old, old_at, kept_at, new, len(opened), steps, {}))
         labelled.update(new)
         open_edges = [open_edges[i] for i in kept_at] + opened
+    return plan
+
+
+def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int) -> None:
+    """Add to each table the labellings that enter it at a level in lo+1..k.
+
+    A labelling of a vertex's ends enters at the least level that admits it:
+    half the ends' sum h, and at least its largest label plus k - max_numerator
+    (the cap on the labels moves with the level).  So growing an empty plan
+    (lo = 0) to k writes the level-k plan, and growing that to k + 1 writes the
+    level-(k + 1) plan: each step adds the shells of h in lo+1..k, and where the
+    cap rose, the labellings of h <= lo whose largest label passed the old cap.
+    A shell is written from the fusion rule, not by filtering: the first end a
+    runs over its values, the second b over the run that leaves the third,
+    2h - a - b, at most h (triangle) and the cap, and bridges take even labels.
+    """
+    cap = lo - k + max_numerator  # the largest label at level lo
+    # (h, floor): the labellings of ends summing to 2h whose largest label is above floor
+    shells = [(h, -1) for h in range(lo + 1 if lo else 0, k + 1)]
+    if lo:
+        shells += [(h, cap) for h in range(max(cap + 1, 0), lo + 1)]
+    for visit in plan:
+        n_old, passing = len(visit.old), visit.passing
+        for h, floor in shells:
+            if len(visit.steps) == 2:  # ends (x, l, l), l the loop and x a bridge, so even: l = h - x/2 >= x/2
+                for x in range(max(0, 2 * (h - max_numerator)), min(h, max_numerator) + 1, 2):
+                    ends = (x, h - x // 2)
+                    if max(ends) > floor:
+                        passing.setdefault(ends[:n_old], []).append(ends[n_old:])
+                continue
+            step_a, step_b, step_c = visit.steps
+            step = max(step_b, step_c)
+            for a in range(0, min(h, max_numerator) + 1, step_a):
+                parity = a % step_c  # of b, so that c = 2h - a - b is even on a bridge
+                if parity and step_b == 2:
+                    continue
+                rest = 2 * h - a  # b + c
+                lowest, highest = max(h - a, rest - max_numerator), min(h, max_numerator)
+                if a > floor:
+                    runs = ((lowest, highest),)
+                else:  # b or c must pass floor
+                    runs = (lowest, min(highest, rest - floor - 1)), (max(lowest, floor + 1, rest - floor), highest)
+                for start, end in runs:
+                    for b in range(start + (parity - start) % step, end + 1, step):
+                        ends = (a, b, rest - b)
+                        passing.setdefault(ends[:n_old], []).append(ends[n_old:])
+
+
+def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
+    """The level-k plan: a table per vertex from the labels of its ends labelled
+    before to every labelling of its new edges that passes conditions 1-4 there."""
+    plan = _skeleton(graph)
+    _grow(plan, 0, k, max_numerator)
     return plan
 
 
@@ -198,8 +242,12 @@ def enumerate_admissible(graph: TrivalentGraph, k: int, max_numerator: int | Non
     to the open range {0, ..., (k-1)/k}, which is the documented way to break
     the count identity on purpose.  A depth-first walk over the plan's tables.
     """
+    plan = _plan(graph, k, _check_enum_args(k, max_numerator))
+    for visit in plan:  # sorted tables make the walk list long sorted runs, which sorted() merges cheaply
+        for new_labels in visit.passing.values():
+            new_labels.sort()
     found = []
-    _walk(_plan(graph, k, _check_enum_args(k, max_numerator)), 0, [0] * len(graph.edges), found)
+    _walk(plan, 0, [0] * len(graph.edges), found)
     return sorted(found)
 
 
@@ -216,13 +264,25 @@ def _walk(plan: list[_Visit], step: int, nums: list[int], found: list[tuple[int,
 
 
 def count_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> int:
-    """Number of admissible weights, counted without materializing them.
+    """Number of admissible weights, counted without materializing them."""
+    return _sweep(_plan(graph, k, _check_enum_args(k, max_numerator)))
 
-    A sweep over the plan's vertices that keeps, for each labelling of the
-    edges open so far, how many partial weights end in it.
-    """
+
+def _level_counts(graph: TrivalentGraph, max_k: int, open_range: bool) -> list[int]:
+    """count_admissible(graph, k, k - 1 if open_range else k) for k = 1..max_k,
+    from one skeleton whose tables grow a level before each sweep."""
+    plan, counts = _skeleton(graph), []
+    for k in range(1, max_k + 1):
+        _grow(plan, k - 1, k, k - 1 if open_range else k)
+        counts.append(_sweep(plan))
+    return counts
+
+
+def _sweep(plan: list[_Visit]) -> int:
+    """The count of a plan: a sweep over its vertices that keeps, for each
+    labelling of the edges open so far, how many partial weights end in it."""
     counts = {(): 1}
-    for visit in _plan(graph, k, _check_enum_args(k, max_numerator)):
+    for visit in plan:
         swept = {}
         for labels, n in counts.items():
             kept = tuple(labels[i] for i in visit.kept_at)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bsq.cli
+import bsq.weights
 from bsq import __version__
 from bsq.cli import main
 from bsq.jsontext import dump
@@ -316,6 +317,38 @@ def test_verify_jw_holds_on_every_genus_4_class():
     assert ok is True
     assert len(rows) == 17 * 2
     assert {row["graph_index"] for row in rows} == set(range(17))
+
+
+@pytest.mark.parametrize("open_range", [False, True])
+@pytest.mark.parametrize("g, max_k", [(2, 10), (3, 7), (4, 5)])
+def test_verify_jw_rows_equal_the_counts_of_each_level(g, max_k, open_range):
+    # one plan per class, grown level by level, counts what count_admissible
+    # counts at each level, with labels up to k and up to k - 1
+    rows, _ = bsq.cli.verify_jw(g, max_k, open_range=open_range)
+    graphs = generate_trivalent(g)
+    assert [(row["graph_index"], row["level"]) for row in rows] == [
+        (index, k) for index in range(len(graphs)) for k in range(1, max_k + 1)
+    ]
+    for row in rows:
+        k = row["level"]
+        max_numerator = k - 1 if open_range else k
+        assert row["weight_count"] == bsq.weights.count_admissible(graphs[row["graph_index"]], k, max_numerator)
+
+
+def test_verify_jw_orders_the_vertices_of_each_class_once(monkeypatch):
+    # the vertex order and its canonical search do not depend on the level
+    searches = []
+    least_key = bsq.weights._least_key
+
+    def counted(*args):
+        searches.append(args)
+        return least_key(*args)
+
+    monkeypatch.setattr(bsq.weights, "_least_key", counted)
+    rows, ok = bsq.cli.verify_jw(3, 8)
+    assert ok is True
+    assert len(rows) == 5 * 8
+    assert len(searches) == 5
 
 
 # every usage check, with its exact text; where a command line fails several,

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ from bsq.theta import (
     bpu_matrix,
     bs_points,
     characteristics,
+    _window,
     theta_value,
 )
 
@@ -315,3 +317,46 @@ def test_subnormal_eps_gives_a_finite_window():
     m = bpu_matrix(3, eps=1e-320)
     assert m.eps == 1e-320
     assert np.allclose(m.entries, bpu_matrix(3).entries, rtol=1e-12, atol=0)
+
+
+def _entries_from_the_whole_dft(k, tau, norm):
+    """The entries as bpu_matrix built them from the whole k x k DFT matrix at once."""
+    j = np.arange(k)
+    m0 = j - k * (2 * j >= k)
+    phase = 1j * math.pi * tau
+    sums = np.ones(k, dtype=complex)
+    for n in range(1, _window(k, 1.0, 0j, tau, DEFAULT_EPS) + 1):
+        sums += np.exp(phase * (n * (n * k + 2 * m0))) + np.exp(phase * (n * (n * k - 2 * m0)))
+    centre = phase * (m0 * m0) / k
+    nulls = np.exp(centre) * sums
+    dft = np.exp(2j * np.pi * j / k)[np.outer(j, j) % k]
+    low = np.abs(nulls) < sys.float_info.min
+    with np.errstate(over="ignore"):
+        entries = norm * (nulls[:, None] * dft)
+        entries[low] = (np.exp(math.log(norm) + centre[low]) * sums[low])[:, None] * dft[low]
+    return entries
+
+
+@pytest.mark.parametrize("k", [*range(1, 41), 97, 128, 200, 401, 961])
+def test_entries_made_in_blocks_of_rows_equal_the_whole_dft_bit_for_bit(k):
+    # extreme norms included: an underflowed zero keeps its sign
+    for tau in (1j, 0.3 + 0.1j):
+        for norm in (1.0, 2.5, 1e-300, 1e300):
+            expected = _entries_from_the_whole_dft(k, tau, norm)
+            if not np.isfinite(expected).all():
+                with pytest.raises(ValueError, match="beyond the double range"):
+                    bpu_matrix(k, tau=tau, norm=norm)
+                continue
+            assert bpu_matrix(k, tau=tau, norm=norm).entries.tobytes() == expected.tobytes(), (tau, norm)
+
+
+def test_bpu_matrix_holds_little_beside_its_entries():
+    # no k x k temporary: F, its indices and the low rows are made a block of rows at a time
+    bpu_matrix(8)
+    tracemalloc.start()
+    try:
+        m = bpu_matrix(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * m.entries.nbytes, (peak, m.entries.nbytes)

@@ -213,6 +213,27 @@ def test_plan_tables_match_the_exhaustive_vertex_filter(k):
                         assert got == expected, (relabelled.edges, v, max_numerator)
 
 
+@pytest.mark.parametrize("open_range", [False, True])
+def test_grown_plan_tables_match_the_exhaustive_vertex_filter_at_every_level(open_range):
+    # one skeleton per class whose tables grow a level at a time, as verify_jw
+    # sweeps them: each level's tables are that level's plan, with no labelling twice
+    rng = random.Random(100 + open_range)
+    for g, max_k in ((2, 9), (3, 6), (4, 4)):
+        for graph in generate_trivalent(g):
+            relabelled = _shuffled(graph, rng)
+            order = weights_module._vertex_order(relabelled)
+            plan = weights_module._skeleton(relabelled)
+            for k in range(1, max_k + 1):
+                max_numerator = k - 1 if open_range else k
+                weights_module._grow(plan, k - 1, k, max_numerator)
+                for v, visit in zip(order, plan):
+                    expected = _oracles.oracle_vertex_table(
+                        relabelled.vertex_count, relabelled.edges, k, max_numerator, v, visit.old, visit.new
+                    )
+                    got = {key: sorted(new) for key, new in visit.passing.items()}
+                    assert got == expected, (relabelled.edges, k, v)
+
+
 def test_plan_builds_no_table_by_filtering(monkeypatch):
     # the tables come from the fusion range; the vertex check is for is_admissible's report
     def refuse(ends, k):
