@@ -10,6 +10,7 @@ of the level-k quantization.
 __version__ = "0.1.0"
 
 from .theta import (
+    CancellationFailure,
     ThetaBasisMatrix,
     ThetaCharacteristic,
     TruncationFailure,
@@ -58,6 +59,7 @@ __all__ = [
     "__version__",
     "AdmissibilityReport",
     "BUILTIN_GRAPHS",
+    "CancellationFailure",
     "DEFAULT_PRECISION",
     "DUMBBELL_GRAPH",
     "IntegralityFailure",

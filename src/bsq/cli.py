@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .jsontext import dump
-from .theta import TruncationFailure, bpu_matrix
+from .theta import CancellationFailure, TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
 from .verlinde import MIN_PRECISION, IntegralityFailure, verlinde_dim, working_precision
@@ -291,7 +291,7 @@ def run(args: argparse.Namespace) -> int:
     """
     try:
         document, code = args.handler(args)
-    except (IntegralityFailure, TruncationFailure, ShapeMismatch, ValueError) as exc:
+    except (IntegralityFailure, TruncationFailure, CancellationFailure, ShapeMismatch, ValueError) as exc:
         _report(args.subcommand, type(exc).__name__, str(exc))
         return 1
     except MemoryError as exc:  # numpy raises a subclass of its own

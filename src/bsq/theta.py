@@ -21,8 +21,11 @@ c_j = exp(pi*i*tau*m0^2/k) * S_j, where every term of S_j has modulus at most
 1 and one term is 1, so ln|c_j| = -pi*Im(tau)*m0^2/k + ln|S_j| is accurate
 at every level, although |c_j| itself leaves the double range at tau = i
 from k of about 900 on.  The smallest singular value and the determinant's
-modulus are taken from these logarithms.  The optional half-form
-normalization is a single positive scalar in this model.
+modulus are taken from these logarithms.  Near the real axis the terms of
+S_j can cancel to far below one rounding of their sum; bpu_matrix then
+raises CancellationFailure rather than return a null with no certain bit.
+The optional half-form normalization is a single positive scalar in this
+model.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ _BLOCK_ENTRIES = 200 * 200
 
 class TruncationFailure(ArithmeticError):
     """The eps target would need a summation window beyond the hard cap."""
+
+
+class CancellationFailure(ArithmeticError):
+    """A theta-null's sum cancels to within its rounding bound, so not one of its bits is certain."""
 
 
 def _tau_value(tau) -> complex:
@@ -173,6 +180,37 @@ class ThetaBasisMatrix:
         return phase * complex((math.sqrt(k) * self.nulls).prod())
 
 
+def _check_cancellation(k: int, tau: complex, window: int, m0: np.ndarray, moduli: np.ndarray) -> None:
+    """Raise CancellationFailure where a sum S_j of bpu_matrix, with moduli
+    |S_j|, is within its rounding bound.
+
+    Each of the 2N + 1 terms is off by about its modulus times 2^-53 per
+    addition and per unit of its exponent's size, the largest of which is
+    pi |tau| N (N k + 2 max|m0|).  So S_j is off by up to
+    (2N + 4 + max|exponent|) * 2^-53 * sum |terms|, and once that reaches
+    |S_j| not one of its bits is certain.  The term of offset n has modulus
+    exp(-pi Im(tau) n (n k +- 2 m0)), at most 1, so where every |S_j| is above
+    the bound with sum |terms| = 2N + 1, the sums themselves are not needed.
+    """
+    import numpy as np
+
+    reach = math.pi * abs(tau) * window * (window * k + 2 * (k // 2))
+    per_term = (2 * window + 4 + reach) * 2.0**-53
+    if moduli.min() > per_term * (2 * window + 1):
+        return
+    n = np.arange(1, window + 1)[:, None]
+    decay = -math.pi * tau.imag
+    magnitudes = 1 + (np.exp(decay * (n * (n * k + 2 * m0))) + np.exp(decay * (n * (n * k - 2 * m0)))).sum(axis=0)
+    rounding = per_term * magnitudes
+    lost = np.flatnonzero(rounding >= moduli)
+    if lost.size:
+        j = lost[0]
+        raise CancellationFailure(
+            f"the sum S_{j} of theta-null c_{j} cancels to |S_{j}| = {moduli[j]:.3g}, within its rounding "
+            f"bound {rounding[j]:.3g} (k={k}, tau={tau}); {lost.size} of the {k} nulls are uncertain"
+        )
+
+
 def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> ThetaBasisMatrix:
     """Evaluate every characteristic at every Bohr-Sommerfeld point.
 
@@ -184,7 +222,8 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     only swaps the two terms added per offset, so c_{k-j} == c_j bit for bit.
     F is taken from the k powers omega^m at m = j*l mod k, so row j of the
     entries is k/gcd(j, k)-periodic bit for bit.  Raises ValueError when an
-    entry is not finite.
+    entry is not finite, and CancellationFailure when a sum S_j is within its
+    rounding bound, (2N + 4 + max|exponent|) * 2^-53 * sum |terms|.
     """
     import numpy as np
 
@@ -196,20 +235,22 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     j = np.arange(k)
     m0 = j - k * (2 * j >= k)
     phase = 1j * math.pi * tau
+    window = _window(k, 1.0, 0j, tau, eps)
     sums = np.ones(k, dtype=complex)
-    for n in range(1, _window(k, 1.0, 0j, tau, eps) + 1):
+    for n in range(1, window + 1):
         sums += np.exp(phase * (n * (n * k + 2 * m0))) + np.exp(phase * (n * (n * k - 2 * m0)))
+    moduli = np.abs(sums)
+    _check_cancellation(k, tau, window, m0, moduli)
     centre = phase * (m0 * m0) / k
-    log_moduli = math.log(norm) + centre.real + np.log(np.abs(sums))
+    log_moduli = math.log(norm) + centre.real + np.log(moduli)
     nulls = np.exp(centre) * sums
     powers = np.exp(2j * np.pi * j / k)
     # a null below the normal range has lost bits that a norm above 1 would
     # bring back into range, so those rows are taken from exp(ln norm + ...)
     low = np.abs(nulls) < sys.float_info.min
-    # blocks of whole rows, the last one taking the rest.  numpy computes
-    # norm * product as product * norm, in place, once the product holds 256 KiB
-    # (16384 entries), and the operand order decides the sign of an underflowed
-    # zero: from k = 128 on every block is that large, as the whole matrix is
+    # blocks of whole rows, the last one taking the rest.  The operand order of
+    # the complex multiply by norm decides the sign of an underflowed zero, so
+    # it is the product times norm, in place, at every level
     rows = max(1, _BLOCK_ENTRIES // k)
     bounds = [*range(0, max(k - rows, 1), rows), k]
     entries = np.empty((k, k), dtype=complex) if len(bounds) > 2 else None
@@ -217,7 +258,8 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
         dft = powers[np.outer(j[top:bottom], j) % k]
         lows = low[top:bottom]
         with np.errstate(over="ignore"):
-            block = norm * (nulls[top:bottom, None] * dft)
+            block = nulls[top:bottom, None] * dft
+            block *= norm
             if lows.any():
                 scaled = np.exp(math.log(norm) + centre[top:bottom][lows]) * sums[top:bottom][lows]
                 block[lows] = scaled[:, None] * dft[lows]

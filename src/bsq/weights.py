@@ -17,14 +17,21 @@ dimension, which is what ties this module to verlinde.py.
 Conditions 1-3 are the su(2)_k fusion rule N_abc in {0, 1}: given ends a and
 b, the third end runs from |a - b| to min(a + b, 2k - a - b) in steps of 2.
 Counting and listing share one plan: the vertices in an order taken from the
-graph's structure, each with a table, written from that range, from the
-labels of its ends labelled before to those of its new edges.  The count
-sweeps the vertices once, keeping a count per labelling of the open edges;
-the listing walks the same tables depth first.
+graph's structure, each with the labellings of its ends that pass it, written
+from that range.  A listing keeps them as lists, from the labels of a
+vertex's ends labelled before to those of its new edges, and walks them
+depth first.  A count sweeps the vertices once, keeping a count per labelling
+of the open edges, and keeps them as counting tables: for each labelling of a
+vertex's ends labelled before, the distinct labellings of the edges it opens,
+each with its multiplicity, the number of labels its loops can take along
+with them.  A state then moves to each opened labelling once, its count times
+the multiplicity; at a vertex that opens nothing, a key has one multiplicity,
+so a state costs one lookup and one add there.
 A plan is split in two.  Its skeleton, the vertex order with each vertex's
-edge bookkeeping and the bridges, does not depend on the level.  Its tables
-grow with the level: a labelling enters its vertex's table at the least level
-that admits it, so a sweep over levels 1..K builds one skeleton and adds each
+edge bookkeeping, the getters that take its keys and kept labels from a
+state, and the bridges, does not depend on the level.  Its tables grow with
+the level: a labelling enters its vertex's table at the least level that
+admits it, so a sweep over levels 1..K builds one skeleton and adds each
 level's labellings before that level's count, at about the cost of one
 level-K plan.  A single count or listing grows its tables to k in one step.
 """
@@ -33,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .trigraph import TrivalentGraph, _least_key, _matrix, bridges
 
@@ -110,15 +118,18 @@ _CANONICAL_RANK_MAX_VERTICES = 10
 
 
 class _Visit(NamedTuple):
-    """One vertex of a plan, and the table of the labels that pass it."""
+    """One vertex of a plan, and the tables of the labels that pass it."""
 
     old: tuple[int, ...]  # its ends labelled before, each open until now
-    old_at: tuple[int, ...]  # their places in the open edges' labels
-    kept_at: tuple[int, ...]  # the places of the open edges that stay open
+    old_of: Callable  # the open edges' labels -> the tuple of those of old
+    kept_of: Callable  # the open edges' labels -> the tuple of those that stay open
     new: tuple[int, ...]  # its edges labelled here: those it opens, then its loops
     opens: int
     steps: tuple[int, ...]  # the step between the values of each end of old + new: 2 on a bridge, else 1
-    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels, grown by _grow
+    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels, grown by _grow for a listing
+    # old labels -> {opened labels: multiplicity}, or -> multiplicity where the
+    # vertex opens nothing; grown by _grow for a count
+    tally: dict[tuple[int, ...], dict[tuple[int, ...], int] | int]
 
 
 def _vertex_order(graph: TrivalentGraph) -> list[int]:
@@ -148,8 +159,17 @@ def _vertex_order(graph: TrivalentGraph) -> list[int]:
     return order
 
 
+def _projection(places: Sequence[int]) -> Callable:
+    """An itemgetter from a tuple to the tuple of its items at places.  An
+    itemgetter of one place returns the bare item and one of none fails, so
+    fewer than two places are taken as a slice."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    return itemgetter(slice(places[0], places[0] + 1) if places else slice(0))
+
+
 def _skeleton(graph: TrivalentGraph) -> list[_Visit]:
-    """One visit per vertex, in _vertex_order, each with an empty table.
+    """One visit per vertex, in _vertex_order, each with empty tables.
 
     This is the part of a plan that does not depend on the level, so a sweep
     over the levels builds it once and grows its tables with _grow.
@@ -158,21 +178,22 @@ def _skeleton(graph: TrivalentGraph) -> list[_Visit]:
     inc = _incidence(graph)
     labelled, open_edges, plan = set(), [], []
     for v in _vertex_order(graph):
-        old_at = tuple(i for i, e in enumerate(open_edges) if v in graph.edges[e])
-        kept_at = tuple(i for i, e in enumerate(open_edges) if v not in graph.edges[e])
+        old_at = [i for i, e in enumerate(open_edges) if v in graph.edges[e]]
+        kept_at = [i for i, e in enumerate(open_edges) if v not in graph.edges[e]]
         old = tuple(open_edges[i] for i in old_at)
         fresh = sorted(set(inc[v]) - labelled)
         opened = [e for e in fresh if graph.edges[e] != (v, v)]
         new = tuple(opened + [e for e in fresh if graph.edges[e] == (v, v)])
         steps = tuple(1 + (e in bridge_set) for e in old + new)
-        plan.append(_Visit(old, old_at, kept_at, new, len(opened), steps, {}))
+        plan.append(_Visit(old, _projection(old_at), _projection(kept_at), new, len(opened), steps, {}, {}))
         labelled.update(new)
         open_edges = [open_edges[i] for i in kept_at] + opened
     return plan
 
 
-def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int) -> None:
-    """Add to each table the labellings that enter it at a level in lo+1..k.
+def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int, counting: bool = False) -> None:
+    """Add to each table the labellings that enter it at a level in lo+1..k:
+    to the counting tables when counting, else to the lists.
 
     A labelling of a vertex's ends enters at the least level that admits it:
     half the ends' sum h, and at least its largest label plus k - max_numerator
@@ -190,13 +211,14 @@ def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int) -> None:
     if lo:
         shells += [(h, cap) for h in range(max(cap + 1, 0), lo + 1)]
     for visit in plan:
-        n_old, passing = len(visit.old), visit.passing
+        n_old = len(visit.old)
+        entered = {} if counting else visit.passing  # old labels -> the new labels that enter
         for h, floor in shells:
             if len(visit.steps) == 2:  # ends (x, l, l), l the loop and x a bridge, so even: l = h - x/2 >= x/2
                 for x in range(max(0, 2 * (h - max_numerator)), min(h, max_numerator) + 1, 2):
                     ends = (x, h - x // 2)
                     if max(ends) > floor:
-                        passing.setdefault(ends[:n_old], []).append(ends[n_old:])
+                        entered.setdefault(ends[:n_old], []).append(ends[n_old:])
                 continue
             step_a, step_b, step_c = visit.steps
             step = max(step_b, step_c)
@@ -213,14 +235,31 @@ def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int) -> None:
                 for start, end in runs:
                     for b in range(start + (parity - start) % step, end + 1, step):
                         ends = (a, b, rest - b)
-                        passing.setdefault(ends[:n_old], []).append(ends[n_old:])
+                        entered.setdefault(ends[:n_old], []).append(ends[n_old:])
+        if counting:
+            _tally(visit, entered)
 
 
-def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
+def _tally(visit: _Visit, entered: dict[tuple[int, ...], list[tuple[int, ...]]]) -> None:
+    """Add the new labels that entered a vertex's table to its counting table:
+    one more way to each labelling of old and of the edges it opens."""
+    tally, opens = visit.tally, visit.opens
+    for key, new_labels in entered.items():
+        if not opens:
+            tally[key] = tally.get(key, 0) + len(new_labels)
+            continue
+        row = tally.setdefault(key, {})
+        for new in new_labels:
+            opened = new[:opens]
+            row[opened] = row.get(opened, 0) + 1
+
+
+def _plan(graph: TrivalentGraph, k: int, max_numerator: int, counting: bool = False) -> list[_Visit]:
     """The level-k plan: a table per vertex from the labels of its ends labelled
-    before to every labelling of its new edges that passes conditions 1-4 there."""
+    before to every labelling of its new edges that passes conditions 1-4 there,
+    as counting tables when counting, else as lists."""
     plan = _skeleton(graph)
-    _grow(plan, 0, k, max_numerator)
+    _grow(plan, 0, k, max_numerator, counting)
     return plan
 
 
@@ -265,15 +304,15 @@ def _walk(plan: list[_Visit], step: int, nums: list[int], found: list[tuple[int,
 
 def count_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> int:
     """Number of admissible weights, counted without materializing them."""
-    return _sweep(_plan(graph, k, _check_enum_args(k, max_numerator)))
+    return _sweep(_plan(graph, k, _check_enum_args(k, max_numerator), counting=True))
 
 
 def _level_counts(graph: TrivalentGraph, max_k: int, open_range: bool) -> list[int]:
     """count_admissible(graph, k, k - 1 if open_range else k) for k = 1..max_k,
-    from one skeleton whose tables grow a level before each sweep."""
+    from one skeleton whose counting tables grow a level before each sweep."""
     plan, counts = _skeleton(graph), []
     for k in range(1, max_k + 1):
-        _grow(plan, k - 1, k, k - 1 if open_range else k)
+        _grow(plan, k - 1, k, k - 1 if open_range else k, counting=True)
         counts.append(_sweep(plan))
     return counts
 
@@ -283,12 +322,21 @@ def _sweep(plan: list[_Visit]) -> int:
     labelling of the edges open so far, how many partial weights end in it."""
     counts = {(): 1}
     for visit in plan:
-        swept = {}
-        for labels, n in counts.items():
-            kept = tuple(labels[i] for i in visit.kept_at)
-            for new_labels in visit.passing.get(tuple(labels[i] for i in visit.old_at), ()):
-                state = kept + new_labels[: visit.opens]
-                swept[state] = swept.get(state, 0) + n
+        swept, old_of, kept_of, tally = {}, visit.old_of, visit.kept_of, visit.tally
+        if visit.opens:
+            for labels, n in counts.items():
+                row = tally.get(old_of(labels))
+                if row:
+                    kept = kept_of(labels)
+                    for opened, mult in row.items():
+                        state = kept + opened
+                        swept[state] = swept.get(state, 0) + n * mult
+        else:  # one multiplicity per key
+            for labels, n in counts.items():
+                mult = tally.get(old_of(labels))
+                if mult:
+                    state = kept_of(labels)
+                    swept[state] = swept.get(state, 0) + n * mult
         counts = swept
     return sum(counts.values())
 

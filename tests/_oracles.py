@@ -3,7 +3,8 @@
 Graphs are raw (vertex_count, edge list) pairs, bridges come from a naive
 remove-and-check scan, and admissible labelings, and the labels that pass
 one vertex, come from exhaustive filtering with inline condition checks.
-Slow on purpose.  Dimensions at
+Slow on purpose; the count alone also comes from a contraction of one
+fusion tensor per vertex over every labeling.  Dimensions at
 larger levels come from the trace of a fusion-rule matrix power, and the
 Verlinde sum from a Neumaier loop over mpmath mpf objects.  The u-curve
 slice comes from every (branch, grid index) pair, each minimised over the
@@ -83,6 +84,28 @@ def oracle_weights(n, edges, k, max_numerator=None):
 def oracle_count(n, edges, k, max_numerator=None):
     """How many labelings oracle_weights finds."""
     return len(oracle_weights(n, edges, k, max_numerator))
+
+
+def oracle_tensor_count(n, edges, k, max_numerator=None):
+    """How many labelings oracle_weights finds, without listing them: the sum
+    over every labeling by 0..max_numerator of the product of one 0/1 tensor
+    per vertex (its three ends pass the parity, level cap and triangle
+    conditions; a loop is a repeated index) and one per bridge (an even
+    numerator), contracted by np.einsum.  Exact while the count fits int64."""
+    if max_numerator is None:
+        max_numerator = k
+    labels = np.arange(max_numerator + 1)
+    a, b, c = np.meshgrid(labels, labels, labels, indexing="ij")
+    s = a + b + c
+    fuses = ((s % 2 == 0) & (s <= 2 * k) & (2 * np.maximum(np.maximum(a, b), c) <= s)).astype(np.int64)
+    letters = [chr(ord("a") + idx) for idx in range(len(edges))]
+    subscripts = ["".join(letters[idx] for idx, (x, y) in enumerate(edges) for end in (x, y) if end == v)
+                  for v in range(n)]
+    operands = [fuses] * n
+    for idx in sorted(oracle_bridges(n, edges)):
+        subscripts.append(letters[idx])
+        operands.append((labels % 2 == 0).astype(np.int64))
+    return int(np.einsum(",".join(subscripts) + "->", *operands, optimize=True))
 
 
 def oracle_vertex_table(n, edges, k, max_numerator, v, old, new):

@@ -214,6 +214,17 @@ def test_theta_basis_truncation_failure_is_a_domain_error(capsys):
     assert error["error"] == "TruncationFailure"
 
 
+def test_theta_basis_nulls_lost_to_cancellation_are_a_domain_error(capsys):
+    # the sums of four nulls cancel below one rounding; the document would carry
+    # a smallest singular value 28 orders of magnitude too large
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.5,0.001")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "CancellationFailure"
+    assert "S_1" in error["message"] and "rounding bound" in error["message"]
+
+
 def test_ucurve_zero_u_gives_the_fiber(capsys):
     doc = run_json(capsys, "ucurve", "--level", "4", "--u", "0")
     assert doc["count"] == 4

@@ -12,6 +12,7 @@ import pytest
 
 from bsq.theta import (
     DEFAULT_EPS,
+    CancellationFailure,
     ThetaCharacteristic,
     TruncationFailure,
     bpu_matrix,
@@ -320,7 +321,8 @@ def test_subnormal_eps_gives_a_finite_window():
 
 
 def _entries_from_the_whole_dft(k, tau, norm):
-    """The entries as bpu_matrix built them from the whole k x k DFT matrix at once."""
+    """The entries from the whole k x k DFT matrix at once, the product of the
+    nulls and F then multiplied by norm in place."""
     j = np.arange(k)
     m0 = j - k * (2 * j >= k)
     phase = 1j * math.pi * tau
@@ -332,7 +334,8 @@ def _entries_from_the_whole_dft(k, tau, norm):
     dft = np.exp(2j * np.pi * j / k)[np.outer(j, j) % k]
     low = np.abs(nulls) < sys.float_info.min
     with np.errstate(over="ignore"):
-        entries = norm * (nulls[:, None] * dft)
+        entries = nulls[:, None] * dft
+        entries *= norm
         entries[low] = (np.exp(math.log(norm) + centre[low]) * sums[low])[:, None] * dft[low]
     return entries
 
@@ -348,6 +351,57 @@ def test_entries_made_in_blocks_of_rows_equal_the_whole_dft_bit_for_bit(k):
                     bpu_matrix(k, tau=tau, norm=norm)
                 continue
             assert bpu_matrix(k, tau=tau, norm=norm).entries.tobytes() == expected.tobytes(), (tau, norm)
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_an_underflowed_entry_takes_the_sign_of_the_product_times_norm(k):
+    # (a + bi) * norm and norm * (a + bi) give zeros of opposite sign where the
+    # entries underflow; the entries are the product times norm, whether or not
+    # numpy reuses the product's buffer, which it does from 256 KiB (k = 128) on
+    tau, norm = 0.1 + 2.5j, 1e-300
+    unscaled = bpu_matrix(k, tau=tau).entries
+    expected, other = unscaled * norm, norm * unscaled
+    e, o = expected.view(float), other.view(float)
+    assert ((e == 0) & (o == 0) & (np.signbit(e) != np.signbit(o))).any()
+    assert bpu_matrix(k, tau=tau, norm=norm).entries.tobytes() == expected.tobytes()
+
+
+def test_nulls_that_cancel_within_their_rounding_bound_raise():
+    # at tau = 0.5 + 0.001i the terms of the odd nulls' sums have modulus near 1
+    # and cancel to about 1e-42 (a direct sum at 80 digits), far below one
+    # rounding of a double, which would leave |S_j| near 1e-14
+    k, tau = 8, 0.5 + 0.001j
+    with pytest.raises(CancellationFailure, match=r"S_1 .* rounding bound .* 4 of the 8 nulls"):
+        bpu_matrix(k, tau=tau)
+    with mpmath.workdps(80):
+        t = mpmath.mpc(tau.real, tau.imag)
+        c3 = mpmath.nsum(lambda n: mpmath.exp(mpmath.pi * 1j * k * t * (n + mpmath.mpf(3) / k) ** 2), [-60, 60])
+        assert abs(c3) < 1e-40
+    # the same level a little further from the real axis is summed to full accuracy
+    m = bpu_matrix(k, tau=0.5 + 0.02j)
+    with mpmath.workdps(40):
+        t = mpmath.mpc(0.5, 0.02)
+        for j in range(k):
+            c = mpmath.nsum(lambda n: mpmath.exp(mpmath.pi * 1j * k * t * (n + mpmath.mpf(j) / k) ** 2), [-60, 60])
+            assert abs(float(mpmath.log(abs(c))) - m.log_moduli[j]) < 1e-12, j
+
+
+def test_the_cancellation_bound_takes_each_sum_of_moduli():
+    # sums just above their bounds pass and just below raise, where the bound of
+    # 2N + 1 terms of modulus 1 would raise for all of them
+    from bsq.theta import _check_cancellation
+
+    k, tau = 8, 0.3 + 0.1j
+    window = _window(k, 1.0, 0j, tau, DEFAULT_EPS)
+    m0 = np.array([j if 2 * j < k else j - k for j in range(k)])
+    terms = [np.exp(1j * math.pi * tau * n * (n * k + s * 2 * m0)) for n in range(1, window + 1) for s in (1, -1)]
+    magnitudes = 1 + sum(np.abs(t) for t in terms)
+    reach = math.pi * abs(tau) * window * (window * k + 2 * (k // 2))
+    bound = (2 * window + 4 + reach) * 2.0**-53 * magnitudes
+    assert (bound * 1.01 < bound.max() / magnitudes.max() * (2 * window + 1)).all()
+    _check_cancellation(k, tau, window, m0, bound * 1.01)
+    with pytest.raises(CancellationFailure, match=f"S_0 .* 8 of the 8"):
+        _check_cancellation(k, tau, window, m0, bound * 0.99)
 
 
 def test_bpu_matrix_holds_little_beside_its_entries():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -172,9 +173,10 @@ def test_genus4_spot_check_against_dimension():
 
 
 def _plan_shape(graph, k):
-    """Per visit: how many edges it closes, keeps open and opens, its keys and its passing labellings."""
+    """Per visit: how many edges it closes and opens (which fix how many it keeps
+    open), its keys and its passing labellings."""
     return [
-        (len(v.old), len(v.kept_at), v.opens, len(v.passing), sum(map(len, v.passing.values())))
+        (len(v.old), v.opens, len(v.passing), sum(map(len, v.passing.values())))
         for v in weights_module._plan(graph, k, k)
     ]
 
@@ -232,6 +234,65 @@ def test_grown_plan_tables_match_the_exhaustive_vertex_filter_at_every_level(ope
                     )
                     got = {key: sorted(new) for key, new in visit.passing.items()}
                     assert got == expected, (relabelled.edges, k, v)
+
+
+def test_the_tensor_oracle_counts_what_the_exhaustive_filter_lists():
+    # the contraction stands in for the filter where 7^9 labellings per class are too many
+    for g, max_k in ((2, 6), (3, 3), (4, 1)):
+        for graph in generate_trivalent(g):
+            for k in range(1, max_k + 1):
+                for max_numerator in (k, k - 1):
+                    expected = _oracles.oracle_count(graph.vertex_count, graph.edges, k, max_numerator)
+                    got = _oracles.oracle_tensor_count(graph.vertex_count, graph.edges, k, max_numerator)
+                    assert got == expected, (graph.edges, k, max_numerator)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("open_range", [False, True])
+def test_counts_equal_the_oracle_on_every_class_up_to_level_6(g, open_range):
+    rng = random.Random(10 * g + open_range)
+    for graph in generate_trivalent(g):
+        relabelled = _shuffled(graph, rng)
+        for k in range(1, 7):
+            max_numerator = k - 1 if open_range else k
+            expected = _oracles.oracle_tensor_count(relabelled.vertex_count, relabelled.edges, k, max_numerator)
+            assert count_admissible(relabelled, k, max_numerator) == expected, (relabelled.edges, k)
+
+
+@pytest.mark.parametrize("open_range", [False, True])
+def test_counting_tables_tally_the_lists_at_every_level(open_range):
+    # for each key, the distinct labellings of the opened edges in its list, each
+    # with the number of list entries it stands for; grown a level at a time, as
+    # verify_jw grows them.  Only a loop's labels make a multiplicity above 1.
+    rng = random.Random(200 + open_range)
+    looped_above_one = set()
+    for g, max_k in ((2, 8), (3, 6), (4, 4)):
+        for graph in generate_trivalent(g):
+            looped = any(a == b for a, b in graph.edges)
+            relabelled = _shuffled(graph, rng)
+            plan = weights_module._skeleton(relabelled)
+            for k in range(1, max_k + 1):
+                max_numerator = k - 1 if open_range else k
+                weights_module._grow(plan, k - 1, k, max_numerator)
+                weights_module._grow(plan, k - 1, k, max_numerator, counting=True)
+                for visit in plan:
+                    assert visit.tally.keys() == visit.passing.keys()
+                    for key, new_labels in visit.passing.items():
+                        row = visit.tally[key]
+                        if visit.opens:
+                            assert row == Counter(new[: visit.opens] for new in new_labels)
+                            assert sum(row.values()) == len(new_labels)
+                            most = max(row.values())
+                        else:
+                            assert row == len(new_labels)
+                            most = row
+                        assert most == 1 or looped, (relabelled.edges, k)
+                        if most > 1:
+                            looped_above_one.add(relabelled.edges)
+    # the dumbbell of genus 2 and the looped classes of genus 3 and 4
+    assert len(looped_above_one) == sum(
+        any(a == b for a, b in graph.edges) for g in (2, 3, 4) for graph in generate_trivalent(g)
+    )
 
 
 def test_plan_builds_no_table_by_filtering(monkeypatch):
