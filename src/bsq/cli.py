@@ -151,7 +151,7 @@ def _cmd_weights(args: argparse.Namespace):
     else:
         found = enumerate_admissible(graph, k)
         body["count"] = len(found)
-        body["weights"] = [list(w) for w in found]
+        body["weights"] = found
     return _document(args, p, body), 0
 
 
@@ -234,7 +234,7 @@ def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = N
     bookkeeping are found once, and its tables grow a level before each
     level's sweep, so levels 1..max_k cost about as much as one level-max_k plan.
     """
-    if not isinstance(max_k, int) or max_k < 1:
+    if type(max_k) is not int or max_k < 1:
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
     prec = working_precision(g, max_k) if prec is None else prec
     rows = []

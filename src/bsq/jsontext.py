@@ -14,6 +14,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
 _INT = {int}
+_ROW = (list, tuple)
 
 
 def _write(value, write, nl: str) -> None:
@@ -39,9 +40,9 @@ def _write(value, write, nl: str) -> None:
         comma, head, tail = "," + inner + "  ", "[" + inner + "  ", inner + "]"
         sep = "[" + inner
         for item in value:
-            if type(item) is list and set(map(type, item)) == _INT:
-                # a flat row of ints: repr writes each int as json does
-                write(sep + head + repr(item)[1:-1].replace(", ", comma) + tail)
+            if type(item) in _ROW and set(map(type, item)) == _INT:
+                # a flat list or tuple of ints: repr writes each int as json does (less a 1-tuple's comma)
+                write(sep + head + repr(item)[1:-1].rstrip(",").replace(", ", comma) + tail)
             else:
                 write(sep)
                 _write(item, write, inner)
@@ -155,8 +156,8 @@ def dump(value, write) -> None:
 
     CPython's C encoder does not run when indent is set, and json.dumps joins
     the whole text before returning it.  Here a container is written item by
-    item, a flat list of ints with one repr, a list of like records (such as
-    the points of a u-curve slice) one record at a time from one %-template,
+    item, a flat list or tuple of ints with one repr, a list of like records
+    (such as the points of a u-curve slice) one record at a time from one %-template,
     and a complex matrix (an ndarray, which json cannot write) as rows of
     [re, im] pairs, so the text held at once is about one row.  A row whose
     bytes repeat with a period that divides its width has its first period

@@ -63,7 +63,7 @@ def _tau_value(tau) -> complex:
 
 
 def _level(k) -> int:
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"level must be an integer >= 1, got {k!r}")
     return k
 

@@ -172,7 +172,7 @@ def generate_trivalent(g: int) -> list[TrivalentGraph]:
 
     Deterministic: returned in lexicographic canonical-key order.
     """
-    if not isinstance(g, int) or g < 2:
+    if type(g) is not int or g < 2:
         raise ValueError(f"genus must be an integer >= 2, got {g!r}")
     n = 2 * g - 2
     keys = []

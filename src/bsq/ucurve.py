@@ -45,7 +45,7 @@ class SupercyclePoint:
         # a Fraction's denominator is positive, so this is 0 <= b < 1 without a Fraction comparison
         if not (0 <= b.numerator < b.denominator if type(b) is Fraction else 0 <= b < 1):
             raise ValueError(f"b must lie in [0, 1), got {b}")
-        if not isinstance(self.m, int):
+        if type(self.m) is not int:
             raise ValueError(f"branch m must be an integer, got {self.m!r}")
 
 
@@ -62,7 +62,7 @@ class UCurveSlice:
 
 
 def _check_level(k):
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"level must be an integer >= 1, got {k!r}")
 
 
@@ -190,7 +190,7 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     lo, hi = float(s_window[0]), float(s_window[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"s_window must be a finite increasing interval, got ({lo}, {hi})")
-    if not isinstance(grid, int) or grid < 2:
+    if type(grid) is not int or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")

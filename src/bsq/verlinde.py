@@ -50,9 +50,9 @@ class VerlindeValue:
 
 
 def _check_genus_and_level(g, k):
-    if not isinstance(g, int) or g < 1:
+    if type(g) is not int or g < 1:
         raise ValueError(f"genus must be an integer >= 1, got {g!r}")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"level must be an integer >= 1, got {k!r}")
 
 
@@ -101,7 +101,7 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
     _check_genus_and_level(g, k)
     if prec is None:
         prec = working_precision(g, k)
-    if not isinstance(prec, int) or prec < MIN_PRECISION:
+    if type(prec) is not int or prec < MIN_PRECISION:
         raise ValueError(f"working precision must be an integer >= {MIN_PRECISION} bits, got {prec!r}")
 
     kk = k + 2

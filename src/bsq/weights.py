@@ -18,10 +18,11 @@ Conditions 1-3 are the su(2)_k fusion rule N_abc in {0, 1}: given ends a and
 b, the third end runs from |a - b| to min(a + b, 2k - a - b) in steps of 2.
 Counting and listing share one plan: the vertices in an order taken from the
 graph's structure, each with the labellings of its ends that pass it, written
-from that range.  A listing keeps them as lists, from the labels of a
-vertex's ends labelled before to those of its new edges, and walks them
-depth first.  A count sweeps the vertices once, keeping a count per labelling
-of the open edges, and keeps them as counting tables: for each labelling of a
+from that range, and one sweep over the vertices.  A listing keeps the tables
+as lists, from the labels of a vertex's ends labelled before to those of its
+new edges, and the partial weights that end in each labelling of the open
+edges, extending each group by a whole list at once.  A count keeps how many
+end in it, and the tables as counting tables: for each labelling of a
 vertex's ends labelled before, the distinct labellings of the edges it opens,
 each with its multiplicity, the number of labels its loops can take along
 with them.  A state then moves to each opened labelling once, its count times
@@ -38,9 +39,11 @@ level-K plan.  A single count or listing grows its tables to k in one step.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .trigraph import TrivalentGraph, _least_key, _matrix, bridges
@@ -87,7 +90,7 @@ def is_admissible(graph: TrivalentGraph, k: int, numerators: Sequence[int]) -> A
     nums = tuple(numerators)
     if len(nums) != len(graph.edges):
         raise ShapeMismatch(f"{len(nums)} numerators for {len(graph.edges)} edges")
-    if any(not isinstance(j, int) or j < 0 for j in nums):
+    if any(type(j) is not int or j < 0 for j in nums):
         raise ValueError("numerators must be non-negative integers")
 
     violations = []
@@ -126,7 +129,7 @@ class _Visit(NamedTuple):
     new: tuple[int, ...]  # its edges labelled here: those it opens, then its loops
     opens: int
     steps: tuple[int, ...]  # the step between the values of each end of old + new: 2 on a bridge, else 1
-    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels, grown by _grow for a listing
+    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels, grown by _grow, read by a listing
     # old labels -> {opened labels: multiplicity}, or -> multiplicity where the
     # vertex opens nothing; grown by _grow for a count
     tally: dict[tuple[int, ...], dict[tuple[int, ...], int] | int]
@@ -139,7 +142,7 @@ def _vertex_order(graph: TrivalentGraph) -> list[int]:
     fewest edges less the ones it closes, and breaks ties by the vertex's
     rank in the ordering that reaches the canonical key.  Any two such
     orderings differ by an automorphism, so the order, and with it the cost
-    of a count, depends on the graph's class only, not on its numbering.
+    of a count or listing, depends on the graph's class only, not on its numbering.
     """
     n = graph.vertex_count
     rank = list(range(n))
@@ -265,11 +268,11 @@ def _plan(graph: TrivalentGraph, k: int, max_numerator: int, counting: bool = Fa
 
 def _check_enum_args(k, max_numerator):
     """max_numerator, k when None, once it and the level k are checked."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"level must be an integer >= 1, got {k!r}")
     if max_numerator is None:
         max_numerator = k
-    if not isinstance(max_numerator, int) or max_numerator < 0:
+    if type(max_numerator) is not int or max_numerator < 0:
         raise ValueError(f"max_numerator must be an integer >= 0, got {max_numerator!r}")
     return max_numerator
 
@@ -279,27 +282,29 @@ def enumerate_admissible(graph: TrivalentGraph, k: int, max_numerator: int | Non
 
     max_numerator defaults to k (labels up to k/k = 1); passing k-1 restricts
     to the open range {0, ..., (k-1)/k}, which is the documented way to break
-    the count identity on purpose.  A depth-first walk over the plan's tables.
+    the count identity on purpose.  The sweep of _sweep, keeping the partial
+    weights that end in each labelling of the open edges, not their count.
     """
     plan = _plan(graph, k, _check_enum_args(k, max_numerator))
-    for visit in plan:  # sorted tables make the walk list long sorted runs, which sorted() merges cheaply
-        for new_labels in visit.passing.values():
-            new_labels.sort()
-    found = []
-    _walk(plan, 0, [0] * len(graph.edges), found)
-    return sorted(found)
-
-
-def _walk(plan: list[_Visit], step: int, nums: list[int], found: list[tuple[int, ...]]) -> None:
-    """Append to found every completion of nums, labelled by the visits before step."""
-    if step == len(plan):
-        found.append(tuple(nums))
-        return
-    visit = plan[step]
-    for new_labels in visit.passing.get(tuple(nums[e] for e in visit.old), ()):
-        for e, j in zip(visit.new, new_labels):
-            nums[e] = j
-        _walk(plan, step + 1, nums, found)
+    # a partial weight holds the visits' new labels in plan order, until the last visit
+    labelled = [e for visit in plan for e in visit.new]
+    in_edge_order = _projection(sorted(range(len(labelled)), key=labelled.__getitem__))
+    partials = {(): [()]}
+    for visit in plan:
+        swept, old_of, kept_of, passing = defaultdict(list), visit.old_of, visit.kept_of, visit.passing
+        opens, finish = visit.opens, in_edge_order if visit is plan[-1] else None
+        while partials:  # a group is released once extended, so about one level of partial weights is held
+            labels, group = partials.popitem()
+            new_labels = passing.get(old_of(labels))
+            if new_labels:
+                kept = kept_of(labels)
+                for new in new_labels:
+                    grown = map(add, group, repeat(new))
+                    swept[kept + new[:opens]] += map(finish, grown) if finish else grown
+        partials = swept
+    found = partials.pop((), [])
+    found.sort()
+    return found
 
 
 def count_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> int:

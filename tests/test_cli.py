@@ -738,6 +738,24 @@ def test_dumps_matches_json_on_edge_values(body):
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param([(1, 2, 3), (4, 5, 6), (-7, 10**30, 0)], id="ints"),
+        # repr((5,)) is "(5,)", so its inside is not a json row
+        pytest.param([(5,), (0,), (-3,)], id="one-tuples"),
+        pytest.param([(), (), (1,), ()], id="empty-tuples"),
+        pytest.param([(True, 1), (1, False), (True,)], id="bools"),
+        pytest.param([(1.5, 2), (2, float("nan")), (0.1,)], id="floats"),
+        pytest.param([((1, 2), (3,)), ((),), (((4,),),), ([5], (6, 7))], id="nested"),
+        pytest.param([(1, 2), [3, 4], (5,), [6], []], id="beside-lists"),
+    ],
+)
+def test_dumps_writes_tuple_rows_as_json_does(rows):
+    assert _dumped({"weights": rows}) == json.dumps({"weights": rows}, sort_keys=True, indent=2)
+    assert _dumped(rows) == json.dumps(rows, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
     "matrix",
     [
         np.array([[1 + 2j, -0.0 - 0.0j], [5e-324 + 1e308j, 0.1 - 0.2j]]),

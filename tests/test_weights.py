@@ -1,12 +1,19 @@
+import json
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import _oracles
 import bsq.weights as weights_module
+from bsq.cli import verify_jw
+from bsq.theta import bpu_matrix, bs_points, characteristics
 from bsq.trigraph import DUMBBELL_GRAPH, THETA_GRAPH, TrivalentGraph, generate_trivalent
+from bsq.ucurve import SupercyclePoint, trace_slice, zero_level_fiber
 from bsq.verlinde import verlinde_dim
 from bsq.weights import (
     ShapeMismatch,
@@ -144,6 +151,32 @@ def test_enumeration_argument_validation():
         enumerate_admissible(THETA_GRAPH, 2, max_numerator=-1)
     with pytest.raises(ValueError):
         count_admissible(THETA_GRAPH, 2.0)  # type: ignore[arg-type]
+
+
+# isinstance(True, int) holds, so each of these once returned a result
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: enumerate_admissible(THETA_GRAPH, True), id="enumerate-level"),
+        pytest.param(lambda: enumerate_admissible(THETA_GRAPH, 2, max_numerator=True), id="enumerate-max-numerator"),
+        pytest.param(lambda: count_admissible(THETA_GRAPH, True), id="count-level"),
+        pytest.param(lambda: count_admissible(THETA_GRAPH, 2, max_numerator=False), id="count-max-numerator"),
+        pytest.param(lambda: is_admissible(THETA_GRAPH, True, (0, 0, 0)), id="is-admissible-level"),
+        pytest.param(lambda: is_admissible(THETA_GRAPH, 2, (True, True, 0)), id="is-admissible-numerator"),
+        pytest.param(lambda: verlinde_dim(True, 3), id="verlinde-genus"),
+        pytest.param(lambda: verlinde_dim(2, True), id="verlinde-level"),
+        pytest.param(lambda: verify_jw(2, True), id="verify-jw-max-level"),
+        pytest.param(lambda: zero_level_fiber(True), id="ucurve-level"),
+        pytest.param(lambda: SupercyclePoint(b=Fraction(1, 2), s=0j, u=0j, m=True), id="ucurve-branch"),
+        pytest.param(lambda: trace_slice(True, 0.5 + 0.5j, (-2.0, 2.0), 1000, 1e-9), id="trace-slice-level"),
+        pytest.param(lambda: characteristics(True), id="theta-characteristics-level"),
+        pytest.param(lambda: bs_points(True), id="theta-points-level"),
+        pytest.param(lambda: bpu_matrix(True), id="theta-basis-level"),
+    ],
+)
+def test_a_bool_is_not_an_integer_argument(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 def test_admissible_labels_lie_in_the_polytope():
@@ -343,3 +376,53 @@ def test_graphs_above_the_canonical_rank_cap_count_and_list():
     assert graph.vertex_count > weights_module._CANONICAL_RANK_MAX_VERTICES
     assert count_admissible(graph, 1) == verlinde_dim(7, 1).dim == 2**7
     assert len(enumerate_admissible(graph, 1)) == 2**7
+
+
+# the census as a file, so that these tests share no code with the package
+_CENSUS = json.loads((Path(__file__).parent / "data" / "trivalent_classes.json").read_text())
+
+
+def _renumbered(entry, rng):
+    """A renumbering of a census class (vertices, edge order and each edge's ends),
+    and for each of its edges the index of the census edge it came from."""
+    n, edges = entry["vertex_count"], entry["edges"]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    source = list(range(len(edges)))
+    rng.shuffle(source)
+    renumbered = []
+    for i in source:
+        a, b = perm[edges[i][0]], perm[edges[i][1]]
+        renumbered.append((a, b) if rng.random() < 0.5 else (b, a))
+    return TrivalentGraph(n, tuple(renumbered)), source
+
+
+@pytest.mark.parametrize("g, k", [(3, 6), (4, 3)])
+def test_a_renumbered_class_lists_the_same_weights_with_its_edge_columns_permuted(g, k):
+    rng = random.Random(100 * g + k)
+    for entry in _CENSUS[str(g)]:
+        original = enumerate_admissible(TrivalentGraph(entry["vertex_count"], tuple(map(tuple, entry["edges"]))), k)
+        assert original
+        for _ in range(2):
+            graph, source = _renumbered(entry, rng)
+            permuted = sorted(tuple(w[i] for i in source) for w in original)
+            assert enumerate_admissible(graph, k) == permuted, entry["text"]
+
+
+def test_a_listing_holds_at_most_twice_its_own_size():
+    # a listing sweep keeps about one level of partial weights beside the weights
+    # it has built; one that keeps two levels alive reaches about 2.5 times its
+    # result.  Labels up to 12 are small ints, which Python caches, so a weight's
+    # bytes are those of its tuple.
+    for entry in _CENSUS["3"]:
+        graph = TrivalentGraph(entry["vertex_count"], tuple(map(tuple, entry["edges"])))
+        enumerate_admissible(graph, 2)
+        tracemalloc.start()
+        try:
+            found = enumerate_admissible(graph, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sys.getsizeof(found) + sum(map(sys.getsizeof, found))
+        assert len(found) == 43953
+        assert peak <= 2 * size, (entry["text"], peak / size)
