@@ -2,7 +2,7 @@
 
 Each edge carries a label j/k, and a weight is the tuple of its numerators j;
 a labeling is admissible when every vertex satisfies the parity, level-cap,
-and triangle conditions and every bridge numerator is even.  The punchline:
+and triangle conditions, which make every bridge numerator even.  The punchline:
 the number of admissible labelings is the quantization dimension, whichever
 graph of the genus you pick.
 """
@@ -31,10 +31,13 @@ def main():
         print(f"  genus 3, k={k}: counts {counts}  dim {verlinde_dim(3, k).dim}")
 
     print()
-    print("why the bridge rule matters: an odd numerator on the dumbbell bridge")
-    report = is_admissible(DUMBBELL_GRAPH, 2, (0, 1, 0))
+    print("bridges need no rule of their own: an odd numerator on the dumbbell bridge,")
+    print("caught by condition 1 at both of its end vertices")
+    report = is_admissible(DUMBBELL_GRAPH, 2, (1, 1, 1))
     for v in report.violations:
         print(f"  {v.site}: condition {v.condition}, {v.detail}")
+    print("  summed over one side of a bridge, the ends give twice the inner labels plus")
+    print("  the bridge's, so condition 1 at every vertex makes every bridge even")
 
     print()
     print("negative control: capping numerators at k-1 breaks the identity")

@@ -230,7 +230,7 @@ def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = N
     Returns (rows, all_match).  open_range restricts numerators to 0..k-1,
     the deliberately broken variant kept as a negative control.  prec is the
     working precision of every dimension; by default working_precision(g, max_k).
-    Each graph's counts come from one plan: its vertex order, bridges and edge
+    Each graph's counts come from one plan: its vertex order and edge
     bookkeeping are found once, and its tables grow a level before each
     level's sweep, so levels 1..max_k cost about as much as one level-max_k plan.
     """

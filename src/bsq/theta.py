@@ -76,9 +76,8 @@ class ThetaCharacteristic:
     w: Fraction
 
     def __post_init__(self):
+        _level(self.k)
         object.__setattr__(self, "w", Fraction(self.w))
-        if self.k < 1:
-            raise ValueError(f"level must be >= 1, got {self.k}")
         j = self.w * self.k
         if j.denominator != 1 or not 0 <= j <= self.k - 1:
             raise ValueError(f"w*k must be an integer in 0..{self.k - 1}, got w={self.w}")

@@ -6,9 +6,11 @@ contributes its label twice) satisfy, with exact integer arithmetic:
 
   1. j_l + j_m + j_n is even,
   2. j_l + j_m + j_n <= 2k,
-  3. every end is at most the sum of the other two (triangle inequalities),
+  3. every end is at most the sum of the other two (triangle inequalities).
 
-and 4. every bridge edge has an even numerator.
+Every bridge then has an even numerator: summed over the vertices on one side
+of a bridge, the ends give twice the side's inner labels plus the bridge's,
+and condition 1 makes that sum even.  So a bridge needs no rule of its own.
 
 A weight is passed and returned as its numerators alone, one int per edge in
 the graph's edge order; its labels are Fraction(j, k).  Labels run over
@@ -29,12 +31,11 @@ with them.  A state then moves to each opened labelling once, its count times
 the multiplicity; at a vertex that opens nothing, a key has one multiplicity,
 so a state costs one lookup and one add there.
 A plan is split in two.  Its skeleton, the vertex order with each vertex's
-edge bookkeeping, the getters that take its keys and kept labels from a
-state, and the bridges, does not depend on the level.  Its tables grow with
-the level: a labelling enters its vertex's table at the least level that
-admits it, so a sweep over levels 1..K builds one skeleton and adds each
-level's labellings before that level's count, at about the cost of one
-level-K plan.  A single count or listing grows its tables to k in one step.
+edge bookkeeping and the getters that take its keys and kept labels from a
+state, does not depend on the level.  Its tables grow with the level: a
+labelling enters its vertex's table at the least level that admits it, so a
+sweep over levels 1..K builds one skeleton and adds each level's labellings
+before that level's count, at about the cost of one level-K plan.  A single count or listing grows its tables to k in one step.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import repeat
 from operator import add, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .trigraph import TrivalentGraph, _least_key, _matrix, bridges
+from .trigraph import TrivalentGraph, _least_key, _matrix
 
 
 class ShapeMismatch(ValueError):
@@ -54,8 +55,8 @@ class ShapeMismatch(ValueError):
 
 
 class Violation(NamedTuple):
-    site: str       # "vertex <i>" or "edge <i>"
-    condition: int  # 1 parity, 2 level cap, 3 triangle, 4 bridge parity
+    site: str       # "vertex <i>"
+    condition: int  # 1 parity, 2 level cap, 3 triangle; an odd bridge breaks 1 on each side
     detail: str
 
 
@@ -85,7 +86,7 @@ def _vertex_conditions(ends, k):
 
 
 def is_admissible(graph: TrivalentGraph, k: int, numerators: Sequence[int]) -> AdmissibilityReport:
-    """Check all four conditions on one numerator per edge; the report lists every violation found."""
+    """Check conditions 1-3 at every vertex on one numerator per edge; the report lists every violation found."""
     _check_enum_args(k, None)
     nums = tuple(numerators)
     if len(nums) != len(graph.edges):
@@ -105,11 +106,6 @@ def is_admissible(graph: TrivalentGraph, k: int, numerators: Sequence[int]) -> A
             else:
                 detail = f"ends {ends} break a triangle inequality"
             violations.append(Violation(f"vertex {v}", cond, detail))
-    for idx in sorted(bridges(graph)):
-        if nums[idx] % 2 != 0:
-            violations.append(
-                Violation(f"edge {idx}", 4, f"bridge numerator {nums[idx]} is odd")
-            )
     return AdmissibilityReport(not violations, tuple(violations))
 
 
@@ -128,7 +124,6 @@ class _Visit(NamedTuple):
     kept_of: Callable  # the open edges' labels -> the tuple of those that stay open
     new: tuple[int, ...]  # its edges labelled here: those it opens, then its loops
     opens: int
-    steps: tuple[int, ...]  # the step between the values of each end of old + new: 2 on a bridge, else 1
     passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels, grown by _grow, read by a listing
     # old labels -> {opened labels: multiplicity}, or -> multiplicity where the
     # vertex opens nothing; grown by _grow for a count
@@ -177,7 +172,6 @@ def _skeleton(graph: TrivalentGraph) -> list[_Visit]:
     This is the part of a plan that does not depend on the level, so a sweep
     over the levels builds it once and grows its tables with _grow.
     """
-    bridge_set = bridges(graph)
     inc = _incidence(graph)
     labelled, open_edges, plan = set(), [], []
     for v in _vertex_order(graph):
@@ -187,8 +181,7 @@ def _skeleton(graph: TrivalentGraph) -> list[_Visit]:
         fresh = sorted(set(inc[v]) - labelled)
         opened = [e for e in fresh if graph.edges[e] != (v, v)]
         new = tuple(opened + [e for e in fresh if graph.edges[e] == (v, v)])
-        steps = tuple(1 + (e in bridge_set) for e in old + new)
-        plan.append(_Visit(old, _projection(old_at), _projection(kept_at), new, len(opened), steps, {}, {}))
+        plan.append(_Visit(old, _projection(old_at), _projection(kept_at), new, len(opened), {}, {}))
         labelled.update(new)
         open_edges = [open_edges[i] for i in kept_at] + opened
     return plan
@@ -206,7 +199,8 @@ def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int, counting: boo
     cap rose, the labellings of h <= lo whose largest label passed the old cap.
     A shell is written from the fusion rule, not by filtering: the first end a
     runs over its values, the second b over the run that leaves the third,
-    2h - a - b, at most h (triangle) and the cap, and bridges take even labels.
+    2h - a - b, at most h (triangle) and the cap.  A bridge's label is left to
+    the other vertices' conditions, which make it even in every full weight.
     """
     cap = lo - k + max_numerator  # the largest label at level lo
     # (h, floor): the labellings of ends summing to 2h whose largest label is above floor
@@ -217,18 +211,13 @@ def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int, counting: boo
         n_old = len(visit.old)
         entered = {} if counting else visit.passing  # old labels -> the new labels that enter
         for h, floor in shells:
-            if len(visit.steps) == 2:  # ends (x, l, l), l the loop and x a bridge, so even: l = h - x/2 >= x/2
+            if n_old + len(visit.new) == 2:  # ends (x, l, l), l the loop: x = 2h - 2l is even, and l >= x/2
                 for x in range(max(0, 2 * (h - max_numerator)), min(h, max_numerator) + 1, 2):
                     ends = (x, h - x // 2)
                     if max(ends) > floor:
                         entered.setdefault(ends[:n_old], []).append(ends[n_old:])
                 continue
-            step_a, step_b, step_c = visit.steps
-            step = max(step_b, step_c)
-            for a in range(0, min(h, max_numerator) + 1, step_a):
-                parity = a % step_c  # of b, so that c = 2h - a - b is even on a bridge
-                if parity and step_b == 2:
-                    continue
+            for a in range(0, min(h, max_numerator) + 1):
                 rest = 2 * h - a  # b + c
                 lowest, highest = max(h - a, rest - max_numerator), min(h, max_numerator)
                 if a > floor:
@@ -236,7 +225,7 @@ def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int, counting: boo
                 else:  # b or c must pass floor
                     runs = (lowest, min(highest, rest - floor - 1)), (max(lowest, floor + 1, rest - floor), highest)
                 for start, end in runs:
-                    for b in range(start + (parity - start) % step, end + 1, step):
+                    for b in range(start, end + 1):
                         ends = (a, b, rest - b)
                         entered.setdefault(ends[:n_old], []).append(ends[n_old:])
         if counting:
@@ -259,7 +248,7 @@ def _tally(visit: _Visit, entered: dict[tuple[int, ...], list[tuple[int, ...]]])
 
 def _plan(graph: TrivalentGraph, k: int, max_numerator: int, counting: bool = False) -> list[_Visit]:
     """The level-k plan: a table per vertex from the labels of its ends labelled
-    before to every labelling of its new edges that passes conditions 1-4 there,
+    before to every labelling of its new edges that passes conditions 1-3 there,
     as counting tables when counting, else as lists."""
     plan = _skeleton(graph)
     _grow(plan, 0, k, max_numerator, counting)

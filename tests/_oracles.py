@@ -55,8 +55,10 @@ def oracle_bridges(n, edges):
 
 
 def oracle_weights(n, edges, k, max_numerator=None):
-    """Every labeling passing the four admissibility conditions, found by
-    trying them all, as sorted tuples of numerators in edge order."""
+    """Every labeling passing the three vertex conditions and an even numerator
+    on every bridge, found by trying them all, as sorted tuples of numerators
+    in edge order.  The package imposes the vertex conditions alone, so the
+    bridge rule here checks the theorem that they make every bridge even."""
     if max_numerator is None:
         max_numerator = k
     bridge_indices = oracle_bridges(n, edges)
@@ -82,7 +84,7 @@ def oracle_weights(n, edges, k, max_numerator=None):
 
 
 def oracle_count(n, edges, k, max_numerator=None):
-    """How many labelings oracle_weights finds."""
+    """How many labelings oracle_weights finds, bridge rule included."""
     return len(oracle_weights(n, edges, k, max_numerator))
 
 
@@ -91,7 +93,9 @@ def oracle_tensor_count(n, edges, k, max_numerator=None):
     over every labeling by 0..max_numerator of the product of one 0/1 tensor
     per vertex (its three ends pass the parity, level cap and triangle
     conditions; a loop is a repeated index) and one per bridge (an even
-    numerator), contracted by np.einsum.  Exact while the count fits int64."""
+    numerator), contracted by np.einsum.  Exact while the count fits int64.
+    As in oracle_weights, the bridge factors check the theorem that the vertex
+    conditions alone make every bridge even."""
     if max_numerator is None:
         max_numerator = k
     labels = np.arange(max_numerator + 1)
@@ -111,15 +115,12 @@ def oracle_tensor_count(n, edges, k, max_numerator=None):
 def oracle_vertex_table(n, edges, k, max_numerator, v, old, new):
     """Map each labelling of the edges old to the sorted list of labellings of
     the edges new under which vertex v's three ends (a loop counted twice)
-    pass the parity, level cap and triangle conditions, bridges taking even
-    numerators only.  Every labelling of old + new by 0..max_numerator is
-    tried; keys with nothing passing are left out."""
-    bridge_indices = oracle_bridges(n, edges)
+    pass the parity, level cap and triangle conditions: the local fusion rule,
+    with no rule for bridges.  Every labelling of old + new by 0..max_numerator
+    is tried; keys with nothing passing are left out."""
     table = {}
     for labels in itertools.product(range(max_numerator + 1), repeat=len(old) + len(new)):
         label = dict(zip(tuple(old) + tuple(new), labels))
-        if any(label[idx] % 2 for idx in label if idx in bridge_indices):
-            continue
         ends = [label[idx] for idx, (a, b) in enumerate(edges) for end in (a, b) if end == v]
         total = sum(ends)
         if total % 2 or total > 2 * k or 2 * max(ends) > total:

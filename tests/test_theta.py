@@ -104,6 +104,10 @@ def test_characteristic_validation():
         ThetaCharacteristic(3, Fraction(1, 6))       # w*k not an integer
     with pytest.raises(ValueError):
         ThetaCharacteristic(0, Fraction(0))
+    # neither a float nor a bool is an integer level
+    for k in (2.0, True):
+        with pytest.raises(ValueError, match="level must be an integer >= 1"):
+            ThetaCharacteristic(k, Fraction(0))
     with pytest.raises(ValueError):
         characteristics(0)
 

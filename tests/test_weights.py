@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -104,10 +105,54 @@ def test_dumbbell_bridge_numerators_are_always_even():
             assert w[1] % 2 == 0
 
 
-def test_odd_bridge_numerator_trips_condition_4():
-    report = is_admissible(DUMBBELL_GRAPH, 2, (0, 1, 0))
-    assert not report.admissible
-    assert any(v.condition == 4 and v.site == "edge 1" for v in report.violations)
+def _sides(graph, cut):
+    """The vertex sets of the two components left when edge cut is removed."""
+    sides = []
+    for start in graph.edges[cut]:
+        side, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for idx, (a, b) in enumerate(graph.edges):
+                if idx != cut and v in (a, b):
+                    for w in {a, b} - side:
+                        side.add(w)
+                        stack.append(w)
+        sides.append(side)
+    return sides
+
+
+def test_odd_bridge_numerator_trips_condition_1_on_both_sides():
+    # bridge parity is no rule of its own: an odd bridge leaves each side an odd
+    # number of odd-sum vertices, so condition 1 fails on both sides
+    rng = random.Random(23)
+    bridged = 0
+    for g in (2, 3, 4):
+        for graph in generate_trivalent(g):
+            cuts = sorted(_oracles.oracle_bridges(graph.vertex_count, graph.edges))
+            bridged += bool(cuts)
+            for cut in cuts:
+                sides = _sides(graph, cut)
+                assert not sides[0] & sides[1], graph.edges
+                for k in (1, 2, 3):
+                    labellings = [[0] * len(graph.edges)] + [[rng.randrange(k + 1) for _ in graph.edges] for _ in range(10)]
+                    for nums in labellings:
+                        nums[cut] = rng.randrange(1, k + 1, 2)
+                        report = is_admissible(graph, k, nums)
+                        assert not report.admissible
+                        odd = {int(v.site.split()[1]) for v in report.violations if v.condition == 1}
+                        assert all(odd & side for side in sides), (graph.edges, cut, nums)
+    # the dumbbell, 3 of the 5 classes of genus 3 and 12 of the 17 of genus 4
+    assert bridged == 1 + 3 + 12
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_is_admissible_agrees_with_the_four_condition_oracle_on_every_labelling(g, k):
+    # the report checks the vertex conditions alone; the oracle adds even bridges
+    for graph in generate_trivalent(g):
+        expected = set(_oracles.oracle_weights(graph.vertex_count, graph.edges, k))
+        for nums in itertools.product(range(k + 1), repeat=len(graph.edges)):
+            assert is_admissible(graph, k, nums).admissible == (nums in expected), (graph.edges, nums)
 
 
 def test_odd_sum_and_level_cap_violations():
