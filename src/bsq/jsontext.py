@@ -4,17 +4,22 @@ The text is streamed one value at a time.  The costly part of a large document
 is float.__repr__, so what repeats is formatted once: a list of like records
 from one %-template, and each row of a complex matrix from the text of its
 least repeating block of [re, im] pairs, found by comparing the row's bytes.
+A list of flat int rows (a weights listing) is written _BLOCK_ROWS rows per
+%-format of a %d template.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
 _INT = {int}
-_ROW = (list, tuple)
+_ROW = {list, tuple}
+# rows per %-format of a list of flat int rows: the text held at once is about one block
+_BLOCK_ROWS = 512
 
 
 def _write(value, write, nl: str) -> None:
@@ -37,17 +42,7 @@ def _write(value, write, nl: str) -> None:
     elif kind is list and value:
         if type(value[0]) is dict and _write_records(value, write, nl):
             return
-        comma, head, tail = "," + inner + "  ", "[" + inner + "  ", inner + "]"
-        sep = "[" + inner
-        for item in value:
-            if type(item) in _ROW and set(map(type, item)) == _INT:
-                # a flat list or tuple of ints: repr writes each int as json does (less a 1-tuple's comma)
-                write(sep + head + repr(item)[1:-1].rstrip(",").replace(", ", comma) + tail)
-            else:
-                write(sep)
-                _write(item, write, inner)
-            sep = "," + inner
-        write(nl + "]")
+        _write_items(value, write, nl)
     elif (
         # a numpy.ndarray, recognised without importing numpy
         kind.__name__ == "ndarray" and kind.__module__ == "numpy"
@@ -57,6 +52,46 @@ def _write(value, write, nl: str) -> None:
     else:
         # NaN, infinities, bools, None, empty containers and anything else
         write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _int_width(block: list) -> int:
+    """The common width of a block of flat int rows, or 0 if the block is anything else.
+
+    Every row must be a non-empty list or tuple, all of one width, and every
+    item an exact int, so that %d writes it as json does (int.__repr__):
+    bools, int subclasses and floats fail the type check.
+    """
+    if not set(map(type, block)) <= _ROW:
+        return 0
+    widths = set(map(len, block))
+    if len(widths) != 1 or set(map(type, chain.from_iterable(block))) != _INT:
+        return 0
+    return widths.pop()
+
+
+def _write_items(items: list, write, nl: str) -> None:
+    """Write a non-empty list _BLOCK_ROWS items at a time.
+
+    A block of flat int rows of one width (see _int_width) is written with
+    one %-format of a template of as many rows as the block has; any other
+    block is written item by item through _write.
+    """
+    inner = nl + "  "
+    comma, head, tail = "," + inner + "  ", "[" + inner + "  ", inner + "]"
+    sep, next_sep = "[" + inner, "," + inner
+    for start in range(0, len(items), _BLOCK_ROWS):
+        block = items[start : start + _BLOCK_ROWS]
+        width = _int_width(block)
+        if width:
+            row = head + comma.join(["%d"] * width) + tail
+            write(sep + next_sep.join([row] * len(block)) % tuple(chain.from_iterable(block)))
+            sep = next_sep
+        else:
+            for item in block:
+                write(sep)
+                _write(item, write, inner)
+                sep = next_sep
+    write(nl + "]")
 
 
 def _scalars(column: list):
@@ -156,14 +191,16 @@ def dump(value, write) -> None:
 
     CPython's C encoder does not run when indent is set, and json.dumps joins
     the whole text before returning it.  Here a container is written item by
-    item, a flat list or tuple of ints with one repr, a list of like records
+    item, a list of flat int rows of one width (such as a weights listing)
+    _BLOCK_ROWS rows at a time from one %d template, a list of like records
     (such as the points of a u-curve slice) one record at a time from one %-template,
     and a complex matrix (an ndarray, which json cannot write) as rows of
-    [re, im] pairs, so the text held at once is about one row.  A row whose
-    bytes repeat with a period that divides its width has its first period
-    formatted once and that text repeated (see _write_complex).  int and
-    float are written with int.__repr__ and float.__repr__, as json writes
-    them; the type checks are exact, so bool and float subclasses are not
-    covered.  NaN, infinities and every other value go through json itself.
+    [re, im] pairs, so the text held at once is about one row or one block of
+    rows.  A row whose bytes repeat with a period that divides its width has
+    its first period formatted once and that text repeated (see
+    _write_complex).  int and float are written with int.__repr__ (or %d) and
+    float.__repr__, as json writes them; the type checks are exact, so bool,
+    int and float subclasses are not covered.  NaN, infinities and every other
+    value go through json itself.
     """
     _write(value, write, "\n")

@@ -270,7 +270,8 @@ def graph_to_text(graph: TrivalentGraph) -> str:
 def parse_graph_text(text: str) -> TrivalentGraph:
     """Parse the 'v'/'e' line format; '#' starts a comment, blanks ignored.
 
-    Edge indices follow file order.
+    Each field is a non-negative integer in ASCII decimal digits.  Edge
+    indices follow file order.
     """
     vertex_count = None
     edges = []
@@ -282,7 +283,10 @@ def parse_graph_text(text: str) -> TrivalentGraph:
         if (kind, len(fields)) not in (("v", 1), ("e", 2)):
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
         try:
-            numbers = tuple(map(int, fields))
+            # ASCII decimal digits only: int() alone would also take "1_0", "+1" and other scripts' digits
+            if not all(field.isascii() and field.isdigit() for field in fields):
+                raise ValueError
+            numbers = tuple(map(int, fields))  # beyond sys.get_int_max_str_digits() digits it raises too
         except ValueError:
             raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
         if kind == "v":

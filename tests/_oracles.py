@@ -6,7 +6,8 @@ one vertex, come from exhaustive filtering with inline condition checks.
 Slow on purpose; the count alone also comes from a contraction of one
 fusion tensor per vertex over every labeling.  Dimensions at
 larger levels come from the trace of a fusion-rule matrix power, and the
-Verlinde sum from a Neumaier loop over mpmath mpf objects.  The u-curve
+Verlinde sum from a Neumaier loop over mpmath mpf objects, and Bernoulli
+numbers from their recurrence in Fractions.  The u-curve
 slice comes from every (branch, grid index) pair, each minimised over the
 s-window in rationals.
 """
@@ -167,6 +168,14 @@ def oracle_verlinde_dim(g, k, prec):
         if error_bound >= 0.5 or abs(raw_sum - nearest) > error_bound:
             raise IntegralityFailure(f"g={g}, k={k} does not certify at {prec} bits")
     return int(nearest), raw_sum, error_bound
+
+
+def oracle_bernoulli(n):
+    """B_0..B_n as Fractions, from sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1 (so B_1 = -1/2)."""
+    numbers = [Fraction(1)]
+    for m in range(1, n + 1):
+        numbers.append(-sum(math.comb(m + 1, j) * numbers[j] for j in range(m)) / (m + 1))
+    return numbers
 
 
 def oracle_ucurve_candidates(k, u, window, grid, tol):

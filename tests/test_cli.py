@@ -1,3 +1,4 @@
+import enum
 import errno
 import io
 import json
@@ -15,7 +16,7 @@ import bsq.cli
 import bsq.weights
 from bsq import __version__
 from bsq.cli import main
-from bsq.jsontext import dump
+from bsq.jsontext import _BLOCK_ROWS, dump
 from bsq.theta import bpu_matrix
 from bsq.trigraph import DUMBBELL_GRAPH, generate_trivalent, graph_to_text, parse_graph_text
 
@@ -144,6 +145,7 @@ def test_weights_unknown_graph_is_usage_error(capsys):
         ("v 2\ne 0 1\n", "not trivalent"),
         ("v x\n", "line 1: expected integers"),
         ("v 2\ne 0 1\ne 0 1.5\n", "line 3: expected integers"),
+        ("v 2\ne 0 0\ne 0 1_0\ne 1 1\n", "line 3: expected integers"),
         ("v 2\ne 0 1 1\n", "line 2: cannot parse"),
         ("e 0 1\n", "line 1: edge before vertex count"),
         ("# nothing\n", "missing 'v <count>' line"),
@@ -753,6 +755,74 @@ def test_dumps_matches_json_on_edge_values(body):
 def test_dumps_writes_tuple_rows_as_json_does(rows):
     assert _dumped({"weights": rows}) == json.dumps({"weights": rows}, sort_keys=True, indent=2)
     assert _dumped(rows) == json.dumps(rows, sort_keys=True, indent=2)
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+def _int_rows(count: int, width: int) -> list:
+    # lists beside tuples, with big and negative ints
+    return [
+        (list if i % 3 else tuple)((-1) ** (i + j) * (i + j) * 10 ** (j * 9) for j in range(width))
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("width", [1, 2, 6])
+@pytest.mark.parametrize("count", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_dumps_writes_int_rows_a_block_at_a_time_as_json_does(count, width):
+    rows = _int_rows(count, width)
+    assert _dumped({"weights": rows}) == json.dumps({"weights": rows}, sort_keys=True, indent=2)
+    assert _dumped(rows) == json.dumps(rows, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "trap",
+    [
+        pytest.param((1, True), id="bool"),
+        pytest.param([1.0, 2], id="float"),
+        pytest.param((_Level.ONE, 2), id="int-enum"),
+        pytest.param((), id="empty"),
+        pytest.param([1, 2, 3], id="wider"),
+        pytest.param((1,), id="narrower"),
+        pytest.param([[1], 2], id="nested"),
+        pytest.param(7, id="bare-int"),
+    ],
+)
+@pytest.mark.parametrize("at", [_BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS])
+def test_dumps_writes_a_block_with_an_odd_row_item_by_item(trap, at):
+    # the first block qualifies for the %-template; the odd row sends only its own block item by item
+    rows = _int_rows(2 * _BLOCK_ROWS + 1, 2)
+    rows[at] = trap
+    assert _dumped({"weights": rows}) == json.dumps({"weights": rows}, sort_keys=True, indent=2)
+    assert _dumped(rows) == json.dumps(rows, sort_keys=True, indent=2)
+
+
+def test_writing_a_long_listing_holds_about_one_block(tmp_path):
+    rows = [(i, i % 7, 2 * i, 1, 0, i % 3) for i in range(100_000)]
+    document = {"count": len(rows), "weights": rows}
+    # the rows with the largest ints make the longest block of text
+    block_text = len(json.dumps({"weights": rows[-_BLOCK_ROWS:]}, indent=2))
+    path = tmp_path / "doc.json"
+    longest = 0
+    with open(path, "w") as fh:
+
+        def write(text):
+            nonlocal longest
+            longest = max(longest, len(text))
+            fh.write(text)
+
+        tracemalloc.start()
+        try:
+            dump(document, write)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == json.dumps(document, sort_keys=True, indent=2)
+    assert longest <= block_text < size / 100
+    assert peak < size / 20
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,15 @@ def test_text_format_allows_comments_and_blanks():
         "v 2\nx 0 1\n",           # unknown record
         "v 2\nv 2\ne 0 1\n",      # duplicate count
         "",                        # empty
+        # integers are ASCII decimal digits only; int() would read the first four as a dumbbell
+        "v 2\ne 0_0 1\ne 0 0\ne 1 1\n",        # an underscore
+        "v 2\ne 0 0\ne 0 \u0661\ne 1 1\n",     # ARABIC-INDIC DIGIT ONE
+        "v \uff12\ne 0 0\ne 0 1\ne 1 1\n",     # FULLWIDTH DIGIT TWO
+        "v +2\ne 0 0\ne 0 1\ne 1 1\n",         # a sign
+        "v 2\ne 0 0\ne 0 1_0\ne 1 1\n",        # read as 10, out of range
+        "v 2\ne 0 0\ne 0 -1\ne 1 1\n",
+        "v 2\ne 0 0\ne 0 0x1\ne 1 1\n",
+        "v 2\ne 0 0\ne 0 1\u00b2\ne 1 1\n",   # a superscript two passes str.isdigit, not int()
     ],
 )
 def test_text_format_rejects_garbage(text):

@@ -1,13 +1,22 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from bsq.verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
 
-from _oracles import DUMBBELL2, K4, THETA2, oracle_count, oracle_fusion_dimension, oracle_verlinde_dim
+from _oracles import (
+    DUMBBELL2,
+    K4,
+    THETA2,
+    oracle_bernoulli,
+    oracle_count,
+    oracle_fusion_dimension,
+    oracle_verlinde_dim,
+)
 
 
 @pytest.mark.parametrize(
@@ -194,3 +203,62 @@ def test_sum_memory_does_not_grow_with_the_level():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, f"peak {peak} bytes over 10,001 distinct terms"
+
+
+# The shape of the dimension.  For fixed g, dim(g, k) is a polynomial P in k of
+# degree 3g - 3 (the Ehrhart polynomial of the labelling polytope of a trivalent
+# graph, Jeffrey and Weitsman).  P is interpolated from k = 1..3g - 2 alone; its
+# leading coefficient is the volume term 2^(g-1) |B_(2g-2)| / (2g-2)! (Witten),
+# and Ehrhart reciprocity gives P(-k) = (-1)^(3g-3) P(k - 4) and zeros at -1, -2, -3.
+
+
+def _differences(values):
+    """The forward differences of values at k = 1, 2, ...: P(x) = sum_j d_j C(x - 1, j)."""
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return diffs
+
+
+def _evaluate(diffs, x):
+    total, binom = Fraction(0), Fraction(1)
+    for j, d in enumerate(diffs):
+        total += d * binom
+        binom = binom * (x - 1 - j) / (j + 1)
+    return total
+
+
+def _leading(diffs):
+    return Fraction(diffs[-1], math.factorial(len(diffs) - 1))
+
+
+def _volume_term(g):
+    return Fraction(2 ** (g - 1)) * abs(oracle_bernoulli(2 * g - 2)[-1]) / math.factorial(2 * g - 2)
+
+
+def test_bernoulli_oracle_recurrence():
+    b = oracle_bernoulli(12)
+    assert b[:5] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
+    assert b[10:] == [Fraction(5, 66), 0, Fraction(-691, 2730)]
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_dimension_is_a_polynomial_with_the_volume_and_reciprocity(g):
+    degree = 3 * g - 3
+    diffs = _differences([verlinde_dim(g, k).dim for k in range(1, degree + 2)])
+    assert _leading(diffs) == _volume_term(g)
+    assert _evaluate(diffs, 0) == 1
+    assert [_evaluate(diffs, x) for x in (-1, -2, -3)] == [0, 0, 0]
+    for k in range(12):
+        assert _evaluate(diffs, -k) == (-1) ** degree * _evaluate(diffs, k - 4), k
+    for k in (3 * g - 1, 3 * g + 2, 60):
+        assert _evaluate(diffs, k) == verlinde_dim(g, k).dim, k
+
+
+@pytest.mark.parametrize("g", [2, 5, 10])
+def test_leading_coefficient_check_sees_one_value_off_by_one(g):
+    values = [verlinde_dim(g, k).dim for k in range(1, 3 * g - 1)]
+    assert _leading(_differences(values)) == _volume_term(g)
+    values[g] += 1
+    assert _leading(_differences(values)) != _volume_term(g)
