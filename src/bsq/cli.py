@@ -10,10 +10,7 @@ no document; a MemoryError is one), or a verify-jw mismatch (its document,
 then that object); 2 a usage error, bad flags or a document that cannot be
 written to --output or stdout ("error: ..." on stderr; nothing emitted, or
 only part of the document when the write fails).  Identical configurations
-produce byte-identical output.  The environment variable BSQ_PRECISION
-overrides the Verlinde working precision in bits; without it, verlinde and
-verify-jw use the fewest bits, at least 96, that certify the dimension at
-their top level.
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from .jsontext import dump
 from .theta import CancellationFailure, TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
-from .verlinde import MIN_PRECISION, IntegralityFailure, verlinde_dim, working_precision
+from .verlinde import IntegralityFailure, verlinde_dim, working_precision
 from .weights import ShapeMismatch, _level_counts, count_admissible, enumerate_admissible
 
 
@@ -59,20 +56,6 @@ def _parse_complex(text: str, name: str) -> complex:
     if 1 <= len(values) <= 2 and all(map(math.isfinite, values)):
         return complex(*values)
     raise UsageError(f"{name} must look like 'RE,IM' or 'RE' with finite parts, got {text!r}")
-
-
-def _precision(genus: int, level: int) -> int:
-    """BSQ_PRECISION's bit count, else working_precision(genus, level), which also certifies lower levels."""
-    raw = os.environ.get("BSQ_PRECISION")
-    if raw is None:
-        return working_precision(genus, level)
-    try:
-        prec = int(raw)
-    except ValueError:
-        raise UsageError(f"BSQ_PRECISION must be an integer bit count, got {raw!r}")
-    if prec < MIN_PRECISION:
-        raise UsageError(f"BSQ_PRECISION must be >= {MIN_PRECISION} bits, got {prec}")
-    return prec
 
 
 def _resolve_graph(name_or_path: str) -> TrivalentGraph:
@@ -110,10 +93,10 @@ def _document(args: argparse.Namespace, parameters: dict, body: dict) -> dict:
 def _cmd_verlinde(args: argparse.Namespace):
     _at_least("--level", args.level, 1)
     _at_least("--genus", args.genus, 1)
-    p = {"genus": args.genus, "level": args.level, "precision": _precision(args.genus, args.level)}
     import mpmath
 
-    value = verlinde_dim(p["genus"], p["level"], prec=p["precision"])
+    value = verlinde_dim(args.genus, args.level)
+    p = {"genus": args.genus, "level": args.level, "precision": value.precision}
     body = {
         "dim": value.dim,
         "raw_sum": mpmath.nstr(value.raw_sum, 25),
@@ -224,22 +207,22 @@ def _cmd_ucurve(args: argparse.Namespace):
     return _document(args, p, body), 0
 
 
-def verify_jw(g: int, max_k: int, open_range: bool = False, prec: int | None = None):
+def verify_jw(g: int, max_k: int, open_range: bool = False):
     """Compare count_admissible with verlinde_dim on every genus-g graph.
 
     Returns (rows, all_match).  open_range restricts numerators to 0..k-1,
-    the deliberately broken variant kept as a negative control.  prec is the
-    working precision of every dimension; by default working_precision(g, max_k).
+    the deliberately broken variant kept as a negative control.  Each level's
+    dimension is certified at its own default precision, working_precision(g, k),
+    which grows with k, so the top level's is the most any level uses.
     Each graph's counts come from one plan: its vertex order and edge
     bookkeeping are found once, and its tables grow a level before each
     level's sweep, so levels 1..max_k cost about as much as one level-max_k plan.
     """
     if type(max_k) is not int or max_k < 1:
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
-    prec = working_precision(g, max_k) if prec is None else prec
     rows = []
     # the dimension depends on the genus and level, not on the graph
-    dims = [verlinde_dim(g, k, prec=prec).dim for k in range(1, max_k + 1)]
+    dims = [verlinde_dim(g, k).dim for k in range(1, max_k + 1)]
     for index, graph in enumerate(generate_trivalent(g)):
         for k, (dim, count) in enumerate(zip(dims, _level_counts(graph, max_k, open_range)), start=1):
             rows.append(
@@ -262,9 +245,9 @@ def _cmd_verify_jw(args: argparse.Namespace):
         "genus": args.genus,
         "max_level": args.max_level,
         "open_weight_range": args.open_weight_range,
-        "precision": _precision(args.genus, args.max_level),
+        "precision": working_precision(args.genus, args.max_level),
     }
-    rows, ok = verify_jw(args.genus, args.max_level, open_range=args.open_weight_range, prec=p["precision"])
+    rows, ok = verify_jw(args.genus, args.max_level, open_range=args.open_weight_range)
     return _document(args, p, {"rows": rows, "all_match": ok}), 0 if ok else 1
 
 

@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 
 TRUNCATION_CAP = 10**6
 DEFAULT_EPS = 1e-12
-# bpu_matrix makes its entries in blocks of rows of about this many entries, so
+# bpu_matrix writes its entries in blocks of rows of about this many entries, so
 # that no k x k temporary is held beside them; k <= 200 is one block
 _BLOCK_ENTRIES = 200 * 200
 
@@ -179,28 +179,20 @@ class ThetaBasisMatrix:
         return phase * complex((math.sqrt(k) * self.nulls).prod())
 
 
-def _check_cancellation(k: int, tau: complex, window: int, m0: np.ndarray, moduli: np.ndarray) -> None:
+def _check_cancellation(k: int, tau: complex, window: int, sizes: np.ndarray, moduli: np.ndarray) -> None:
     """Raise CancellationFailure where a sum S_j of bpu_matrix, with moduli
-    |S_j|, is within its rounding bound.
+    |S_j| and sizes sum |terms|, is within its rounding bound.
 
     Each of the 2N + 1 terms is off by about its modulus times 2^-53 per
     addition and per unit of its exponent's size, the largest of which is
     pi |tau| N (N k + 2 max|m0|).  So S_j is off by up to
     (2N + 4 + max|exponent|) * 2^-53 * sum |terms|, and once that reaches
-    |S_j| not one of its bits is certain.  The term of offset n has modulus
-    exp(-pi Im(tau) n (n k +- 2 m0)), at most 1, so where every |S_j| is above
-    the bound with sum |terms| = 2N + 1, the sums themselves are not needed.
+    |S_j| not one of its bits is certain.
     """
     import numpy as np
 
     reach = math.pi * abs(tau) * window * (window * k + 2 * (k // 2))
-    per_term = (2 * window + 4 + reach) * 2.0**-53
-    if moduli.min() > per_term * (2 * window + 1):
-        return
-    n = np.arange(1, window + 1)[:, None]
-    decay = -math.pi * tau.imag
-    magnitudes = 1 + (np.exp(decay * (n * (n * k + 2 * m0))) + np.exp(decay * (n * (n * k - 2 * m0)))).sum(axis=0)
-    rounding = per_term * magnitudes
+    rounding = (2 * window + 4 + reach) * 2.0**-53 * sizes
     lost = np.flatnonzero(rounding >= moduli)
     if lost.size:
         j = lost[0]
@@ -222,7 +214,8 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     F is taken from the k powers omega^m at m = j*l mod k, so row j of the
     entries is k/gcd(j, k)-periodic bit for bit.  Raises ValueError when an
     entry is not finite, and CancellationFailure when a sum S_j is within its
-    rounding bound, (2N + 4 + max|exponent|) * 2^-53 * sum |terms|.
+    rounding bound, (2N + 4 + max|exponent|) * 2^-53 * sum |terms|, with the
+    sizes sum |terms| added up in the loop that sums the S_j.
     """
     import numpy as np
 
@@ -236,10 +229,14 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     phase = 1j * math.pi * tau
     window = _window(k, 1.0, 0j, tau, eps)
     sums = np.ones(k, dtype=complex)
+    sizes = np.ones(k)
     for n in range(1, window + 1):
-        sums += np.exp(phase * (n * (n * k + 2 * m0))) + np.exp(phase * (n * (n * k - 2 * m0)))
+        up = np.exp(phase * (n * (n * k + 2 * m0)))
+        down = np.exp(phase * (n * (n * k - 2 * m0)))
+        sums += up + down
+        sizes += np.abs(up) + np.abs(down)
     moduli = np.abs(sums)
-    _check_cancellation(k, tau, window, m0, moduli)
+    _check_cancellation(k, tau, window, sizes, moduli)
     centre = phase * (m0 * m0) / k
     log_moduli = math.log(norm) + centre.real + np.log(moduli)
     nulls = np.exp(centre) * sums
@@ -247,28 +244,25 @@ def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> T
     # a null below the normal range has lost bits that a norm above 1 would
     # bring back into range, so those rows are taken from exp(ln norm + ...)
     low = np.abs(nulls) < sys.float_info.min
-    # blocks of whole rows, the last one taking the rest.  The operand order of
-    # the complex multiply by norm decides the sign of an underflowed zero, so
-    # it is the product times norm, in place, at every level
-    rows = max(1, _BLOCK_ENTRIES // k)
-    bounds = [*range(0, max(k - rows, 1), rows), k]
-    entries = np.empty((k, k), dtype=complex) if len(bounds) > 2 else None
-    for top, bottom in zip(bounds, bounds[1:]):
-        dft = powers[np.outer(j[top:bottom], j) % k]
-        lows = low[top:bottom]
-        with np.errstate(over="ignore"):
-            block = nulls[top:bottom, None] * dft
+    # each block of rows is written in place.  The operand order of the complex
+    # multiply by norm decides the sign of an underflowed zero, so it is the
+    # product times norm, at every level
+    entries = np.empty((k, k), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // k)
+    with np.errstate(over="ignore"):
+        for top in range(0, k, step):
+            rows = slice(top, top + step)
+            dft = powers[np.outer(j[rows], j) % k]
+            block = entries[rows]
+            np.multiply(nulls[rows, None], dft, out=block)
             block *= norm
+            lows = low[rows]
             if lows.any():
-                scaled = np.exp(math.log(norm) + centre[top:bottom][lows]) * sums[top:bottom][lows]
+                scaled = np.exp(math.log(norm) + centre[rows][lows]) * sums[rows][lows]
                 block[lows] = scaled[:, None] * dft[lows]
-        if not np.isfinite(block).all():
-            raise ValueError(
-                f"norm = {norm} puts matrix entries beyond the double range "
-                f"(k={k}, tau={tau}, largest ln|norm * c_j| = {log_moduli.max():.6g})"
-            )
-        if entries is None:  # one block: the whole matrix
-            entries = block
-        else:
-            entries[top:bottom] = block
+    if not np.isfinite(entries).all():
+        raise ValueError(
+            f"norm = {norm} puts matrix entries beyond the double range "
+            f"(k={k}, tau={tau}, largest ln|norm * c_j| = {log_moduli.max():.6g})"
+        )
     return ThetaBasisMatrix(k=k, entries=entries, log_moduli=log_moduli, tau=tau, eps=eps, norm_constant=norm)

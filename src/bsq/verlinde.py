@@ -14,9 +14,9 @@ that the nearest integer is the exact value.  The working precision prec is
 given by the caller (never below 64 bits) or, by default, chosen before the
 sum from a double-precision estimate of its size, in math alone and over the
 same folded half of the terms: the fewest bits, and at least 96, at which
-the budget certifies.  If the certificate fails the computation raises
-instead of returning a non-integral answer.  No exact cyclotomic arithmetic
-is attempted here.
+the budget certifies.  Either way the result records the precision it ran
+at.  If the certificate fails the computation raises instead of returning a
+non-integral answer.  No exact cyclotomic arithmetic is attempted here.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ class IntegralityFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class VerlindeValue:
-    """A certified dimension: |raw_sum - dim| <= error_bound < 0.5."""
+    """A certified dimension: |raw_sum - dim| <= error_bound < 0.5, summed at precision bits."""
 
     dim: int
     raw_sum: mpmath.mpf
     error_bound: float
+    precision: int
 
 
 def _check_genus_and_level(g, k):
@@ -85,9 +86,10 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
     prec is the working precision in significand bits; by default it is
     working_precision(g, k).  The returned error_bound is an absolute bound
     on |raw_sum - exact value| derived from per-operation rounding budgets,
-    so dim = round(raw_sum) is certified whenever error_bound < 0.5.  An
-    explicit prec is used as given and raises IntegralityFailure when it is
-    too low.
+    so dim = round(raw_sum) is certified whenever error_bound < 0.5, and
+    precision is the prec the sum ran at.  An explicit prec is used as given
+    and raises IntegralityFailure when it is too low; at the default one,
+    that failure is a defect of working_precision.
 
     Terms n and k+2-n are equal, so each of the k // 2 + 1 distinct terms
     is computed once and added, twice unless it is the middle one, to one
@@ -99,7 +101,8 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
     from mpmath.libmp import from_int, mpf_div, mpf_pow_int, mpf_sin_pi
 
     _check_genus_and_level(g, k)
-    if prec is None:
+    chosen = prec is None
+    if chosen:
         prec = working_precision(g, k)
     if type(prec) is not int or prec < MIN_PRECISION:
         raise ValueError(f"working precision must be an integer >= {MIN_PRECISION} bits, got {prec!r}")
@@ -138,12 +141,14 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
         dim = int(nearest)
 
     if error_bound >= 0.5:
-        raise IntegralityFailure(
-            f"error bound {error_bound} >= 0.5 at g={g}, k={k}, prec={prec}; raise the precision"
-        )
+        if chosen:
+            advice = f"working_precision chose too few bits for g={g}, k={k}, a defect to report"
+        else:
+            advice = "pass a larger prec"
+        raise IntegralityFailure(f"error bound {error_bound} >= 0.5 at g={g}, k={k}, prec={prec}; {advice}")
     if delta > error_bound:
         raise IntegralityFailure(
             f"sum {mpmath.nstr(raw_sum, 25)} is {mpmath.nstr(delta, 5)} away from the nearest "
             f"integer, beyond the certified bound {error_bound} (g={g}, k={k}, prec={prec})"
         )
-    return VerlindeValue(dim=dim, raw_sum=raw_sum, error_bound=error_bound)
+    return VerlindeValue(dim=dim, raw_sum=raw_sum, error_bound=error_bound, precision=prec)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bsq.cli
+import bsq.verlinde
 import bsq.weights
 from bsq import __version__
 from bsq.cli import main
@@ -51,32 +52,6 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BSQ_PRECISION", "192")
-    doc = run_json(capsys, "verlinde", "--genus", "2", "--level", "3")
-    assert doc["parameters"]["precision"] == 192
-    assert doc["dim"] == 20
-
-
-def test_precision_env_skips_the_default_precision(capsys, monkeypatch):
-    def unused(g, k):
-        raise AssertionError("working_precision ran although BSQ_PRECISION is set")
-
-    monkeypatch.setenv("BSQ_PRECISION", "192")
-    monkeypatch.setattr(bsq.cli, "working_precision", unused)
-    doc = run_json(capsys, "verlinde", "--genus", "2", "--level", "3")
-    assert doc["parameters"]["precision"] == 192
-
-
-@pytest.mark.parametrize("value", ["abc", "32", "0"])
-def test_precision_env_rejected(capsys, monkeypatch, value):
-    monkeypatch.setenv("BSQ_PRECISION", value)
-    code, out, err = run_cli(capsys, "verlinde", "--genus", "2", "--level", "1")
-    assert code == 2
-    assert out == ""
-    assert "BSQ_PRECISION" in err
-
-
 def test_verlinde_chooses_the_precision_its_certificate_needs(capsys):
     doc = run_json(capsys, "verlinde", "--genus", "10", "--level", "50")
     assert doc["parameters"] == {"genus": 10, "level": 50, "precision": 124}
@@ -85,13 +60,22 @@ def test_verlinde_chooses_the_precision_its_certificate_needs(capsys):
 
 
 def test_verlinde_integrality_failure_is_a_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("BSQ_PRECISION", "64")
+    # 64 bits cannot certify this sum, so a default precision that chose them is a defect
+    monkeypatch.setattr(bsq.verlinde, "working_precision", lambda g, k: 64)
     code, out, err = run_cli(capsys, "verlinde", "--genus", "50", "--level", "24")
     assert code == 1
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "IntegralityFailure"
     assert error["subcommand"] == "verlinde"
+    assert "working_precision chose too few bits for g=50, k=24" in error["message"]
+
+
+@pytest.mark.parametrize("genus, max_level", [(2, 12), (3, 10), (4, 6)])
+def test_verify_jw_records_the_precision_of_its_top_level(capsys, genus, max_level):
+    doc = run_json(capsys, "verify-jw", "--genus", str(genus), "--max-level", str(max_level))
+    top = run_json(capsys, "verlinde", "--genus", str(genus), "--level", str(max_level))
+    assert doc["parameters"]["precision"] == top["parameters"]["precision"]
 
 
 def test_graphs_document(capsys):
@@ -367,54 +351,43 @@ def test_verify_jw_orders_the_vertices_of_each_class_once(monkeypatch):
 # every usage check, with its exact text; where a command line fails several,
 # the check that runs first
 USAGE_ERRORS = {
-    "verlinde level": ({}, ("verlinde", "--genus", "0", "--level", "0"), "--level must be >= 1, got 0"),
-    "verlinde genus": ({"BSQ_PRECISION": "abc"}, ("verlinde", "--genus", "0", "--level", "3"),
-                       "--genus must be >= 1, got 0"),
-    "precision not an integer": ({"BSQ_PRECISION": "abc"}, ("verlinde", "--genus", "2", "--level", "1"),
-                                 "BSQ_PRECISION must be an integer bit count, got 'abc'"),
-    "precision too low": ({"BSQ_PRECISION": "32"}, ("verlinde", "--genus", "2", "--level", "1"),
-                          "BSQ_PRECISION must be >= 64 bits, got 32"),
-    "graphs genus": ({}, ("graphs", "--genus", "1"), "--genus must be >= 2 for graph generation, got 1"),
-    "weights level": ({}, ("weights", "--graph", "nope", "--level", "0"), "--level must be >= 1, got 0"),
-    "weights unknown graph": ({}, ("weights", "--graph", "nope", "--level", "1"),
+    "verlinde level": (("verlinde", "--genus", "0", "--level", "0"), "--level must be >= 1, got 0"),
+    "verlinde genus": (("verlinde", "--genus", "0", "--level", "3"), "--genus must be >= 1, got 0"),
+    "graphs genus": (("graphs", "--genus", "1"), "--genus must be >= 2 for graph generation, got 1"),
+    "weights level": (("weights", "--graph", "nope", "--level", "0"), "--level must be >= 1, got 0"),
+    "weights unknown graph": (("weights", "--graph", "nope", "--level", "1"),
                               "graph 'nope' is neither a readable file nor one of ['dumbbell2', 'theta2']"),
-    "weights malformed graph": ({}, ("weights", "--graph", "{tmp}/bad.graph", "--level", "1"),
+    "weights malformed graph": (("weights", "--graph", "{tmp}/bad.graph", "--level", "1"),
                                 "{tmp}/bad.graph: not trivalent: 1 edges on 2 vertices, need 2|E| = 3|V|"),
-    "theta level": ({}, ("theta-basis", "--level", "0", "--tau", "garbage"), "--level must be >= 1, got 0"),
-    "theta tau": ({}, ("theta-basis", "--level", "2", "--tau", "garbage", "--eps", "0"),
+    "theta level": (("theta-basis", "--level", "0", "--tau", "garbage"), "--level must be >= 1, got 0"),
+    "theta tau": (("theta-basis", "--level", "2", "--tau", "garbage", "--eps", "0"),
                   "--tau must look like 'RE,IM' or 'RE' with finite parts, got 'garbage'"),
-    "theta tau half-plane": ({}, ("theta-basis", "--level", "2", "--tau", "0,-1", "--eps", "0"),
+    "theta tau half-plane": (("theta-basis", "--level", "2", "--tau", "0,-1", "--eps", "0"),
                              "--tau must have positive imaginary part, got 0,-1"),
-    "theta eps": ({}, ("theta-basis", "--level", "2", "--eps", "0", "--norm", "0"),
+    "theta eps": (("theta-basis", "--level", "2", "--eps", "0", "--norm", "0"),
                   "--eps must be positive and finite, got 0.0"),
-    "theta norm": ({}, ("theta-basis", "--level", "2", "--norm", "-1"), "--norm must be positive and finite, got -1.0"),
-    "ucurve level": ({}, ("ucurve", "--level", "0", "--u", "x"), "--level must be >= 1, got 0"),
-    "ucurve u": ({}, ("ucurve", "--level", "1", "--u", "x", "--s-max", "inf"),
+    "theta norm": (("theta-basis", "--level", "2", "--norm", "-1"), "--norm must be positive and finite, got -1.0"),
+    "ucurve level": (("ucurve", "--level", "0", "--u", "x"), "--level must be >= 1, got 0"),
+    "ucurve u": (("ucurve", "--level", "1", "--u", "x", "--s-max", "inf"),
                  "--u must look like 'RE,IM' or 'RE' with finite parts, got 'x'"),
-    "ucurve window finite": ({}, ("ucurve", "--level", "1", "--u", "1", "--s-max", "inf", "--grid", "1"),
+    "ucurve window finite": (("ucurve", "--level", "1", "--u", "1", "--s-max", "inf", "--grid", "1"),
                              "--s-min and --s-max must be finite, got -2.0, inf"),
-    "ucurve window order": ({}, ("ucurve", "--level", "1", "--u", "1", "--s-min", "2", "--s-max", "-2", "--grid", "1"),
+    "ucurve window order": (("ucurve", "--level", "1", "--u", "1", "--s-min", "2", "--s-max", "-2", "--grid", "1"),
                             "--s-min must be below --s-max, got 2.0, -2.0"),
-    "ucurve grid": ({}, ("ucurve", "--level", "1", "--u", "1", "--grid", "1", "--tol", "0"),
+    "ucurve grid": (("ucurve", "--level", "1", "--u", "1", "--grid", "1", "--tol", "0"),
                     "--grid must be >= 2, got 1"),
-    "ucurve tol": ({}, ("ucurve", "--level", "1", "--u", "1", "--tol", "inf"), "--tol must be positive and finite, got inf"),
-    "verify-jw genus": ({}, ("verify-jw", "--genus", "1", "--max-level", "0"),
+    "ucurve tol": (("ucurve", "--level", "1", "--u", "1", "--tol", "inf"), "--tol must be positive and finite, got inf"),
+    "verify-jw genus": (("verify-jw", "--genus", "1", "--max-level", "0"),
                         "--genus must be >= 2 for graph generation, got 1"),
-    "verify-jw max level": ({"BSQ_PRECISION": "32"}, ("verify-jw", "--genus", "2", "--max-level", "0"),
-                            "--max-level must be >= 1, got 0"),
-    "verify-jw precision": ({"BSQ_PRECISION": "32"}, ("verify-jw", "--genus", "2", "--max-level", "1"),
-                            "BSQ_PRECISION must be >= 64 bits, got 32"),
-    "output": ({}, ("verlinde", "--genus", "2", "--level", "1", "--output", "{tmp}/missing/x.json"),
+    "verify-jw max level": (("verify-jw", "--genus", "2", "--max-level", "0"), "--max-level must be >= 1, got 0"),
+    "output": (("verlinde", "--genus", "2", "--level", "1", "--output", "{tmp}/missing/x.json"),
                f"{{tmp}}/missing/x.json: {os.strerror(errno.ENOENT)}"),
 }
 
 
 @pytest.mark.parametrize("name", USAGE_ERRORS)
-def test_usage_error_text(capsys, monkeypatch, tmp_path, name):
-    env, argv, message = USAGE_ERRORS[name]
-    monkeypatch.delenv("BSQ_PRECISION", raising=False)
-    for variable, value in env.items():
-        monkeypatch.setenv(variable, value)
+def test_usage_error_text(capsys, tmp_path, name):
+    argv, message = USAGE_ERRORS[name]
     (tmp_path / "bad.graph").write_text("v 2\ne 0 1\n")
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
@@ -573,23 +546,21 @@ BOTH = ("numpy", "mpmath")
 
 
 @pytest.mark.parametrize(
-    "argv, unused, precision",
+    "argv, unused",
     [
-        pytest.param((), BOTH, None, id="import"),
-        pytest.param(("graphs", "--genus", "3"), BOTH, None, id="graphs"),
-        pytest.param(("weights", "--graph", "theta2", "--level", "3"), BOTH, None, id="weights"),
-        pytest.param(("weights", "--graph", "dumbbell2", "--level", "3", "--count-only"), BOTH, None,
-                     id="weights count"),
-        pytest.param(("ucurve", "--level", "3", "--u", "0.7", "--grid", "50"), BOTH, None, id="ucurve"),
-        pytest.param(("ucurve", "--level", "3", "--u", "0.5,0.5", "--grid", "50", "--format", "csv"), BOTH, None,
+        pytest.param((), BOTH, id="import"),
+        pytest.param(("graphs", "--genus", "3"), BOTH, id="graphs"),
+        pytest.param(("weights", "--graph", "theta2", "--level", "3"), BOTH, id="weights"),
+        pytest.param(("weights", "--graph", "dumbbell2", "--level", "3", "--count-only"), BOTH, id="weights count"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0.7", "--grid", "50"), BOTH, id="ucurve"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0.5,0.5", "--grid", "50", "--format", "csv"), BOTH,
                      id="ucurve csv"),
-        pytest.param(("ucurve", "--level", "3", "--u", "0"), BOTH, None, id="ucurve zero fiber"),
-        pytest.param(("verify-jw", "--genus", "2", "--max-level", "3"), ("numpy",), None, id="verify-jw"),
-        pytest.param(("verlinde", "--genus", "3", "--level", "50"), ("numpy",), None, id="verlinde"),
-        pytest.param(("verlinde", "--genus", "3", "--level", "50"), ("numpy",), "96", id="verlinde BSQ_PRECISION=96"),
+        pytest.param(("ucurve", "--level", "3", "--u", "0"), BOTH, id="ucurve zero fiber"),
+        pytest.param(("verify-jw", "--genus", "2", "--max-level", "3"), ("numpy",), id="verify-jw"),
+        pytest.param(("verlinde", "--genus", "3", "--level", "50"), ("numpy",), id="verlinde"),
     ],
 )
-def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused, precision):
+def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused):
     # numpy and mpmath cost most of the start-up, so they load only where they are used
     code = (
         "import contextlib, io, sys\n"
@@ -600,12 +571,7 @@ def test_lean_runs_leave_numpy_and_mpmath_unloaded(argv, unused, precision):
         "        assert bsq.cli.main(argv) == 0\n"
         f"print(sorted(set({list(unused)!r}) & sys.modules.keys()))\n"
     )
-    # verlinde and verify-jw estimate their precision with math alone, and a set
-    # BSQ_PRECISION skips the estimate; the other commands ignore it
-    env = {name: value for name, value in os.environ.items() if name != "BSQ_PRECISION"}
-    if precision is not None:
-        env["BSQ_PRECISION"] = precision
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

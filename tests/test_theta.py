@@ -403,9 +403,30 @@ def test_the_cancellation_bound_takes_each_sum_of_moduli():
     reach = math.pi * abs(tau) * window * (window * k + 2 * (k // 2))
     bound = (2 * window + 4 + reach) * 2.0**-53 * magnitudes
     assert (bound * 1.01 < bound.max() / magnitudes.max() * (2 * window + 1)).all()
-    _check_cancellation(k, tau, window, m0, bound * 1.01)
+    _check_cancellation(k, tau, window, magnitudes, bound * 1.01)
     with pytest.raises(CancellationFailure, match=f"S_0 .* 8 of the 8"):
-        _check_cancellation(k, tau, window, m0, bound * 0.99)
+        _check_cancellation(k, tau, window, magnitudes, bound * 0.99)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.1j, 0.5 + 0.001j, 0.5 + 0.02j, 0.1 + 2.5j])
+def test_the_sizes_of_the_sums_are_summed_with_them(monkeypatch, tau):
+    # the sizes sum |terms| that bound each null's rounding come from the loop that
+    # sums the null; here each is summed again, a term at a time, with math alone
+    import bsq.theta
+
+    calls = []
+    monkeypatch.setattr(bsq.theta, "_check_cancellation", lambda *args: calls.append(args))
+    for k in [*range(1, 14), 24, 64, 200]:
+        bpu_matrix(k, tau=tau)
+        _, _, window, sizes, _ = calls.pop()
+        decay = -math.pi * tau.imag
+        for j in range(k):
+            m0 = j if 2 * j < k else j - k
+            expected = 1 + math.fsum(
+                math.exp(decay * n * (n * k + 2 * m0)) + math.exp(decay * n * (n * k - 2 * m0))
+                for n in range(1, window + 1)
+            )
+            assert abs(sizes[j] / expected - 1) < 1e-12, (k, j)
 
 
 def test_bpu_matrix_holds_little_beside_its_entries():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import bsq.verlinde
 from bsq.verlinde import DEFAULT_PRECISION, IntegralityFailure, verlinde_dim, working_precision
 
 from _oracles import (
@@ -92,9 +93,27 @@ def test_rejects_precision_below_floor():
 
 def test_integrality_failure_when_bound_blows_up():
     # at 64 bits the certified error for this genus tops 0.5 long before
-    # the sum loses integrality, and the call must refuse rather than round
-    with pytest.raises(IntegralityFailure):
+    # the sum loses integrality, and the call must refuse rather than round;
+    # an explicit precision is the caller's to raise
+    with pytest.raises(IntegralityFailure, match=r"g=50, k=24, prec=64; pass a larger prec$"):
         verlinde_dim(50, 24, prec=64)
+
+
+def test_a_default_precision_that_fails_is_reported_as_a_defect(monkeypatch):
+    # the caller chose no precision, so there is none to raise: the rule chose too few bits
+    monkeypatch.setattr(bsq.verlinde, "working_precision", lambda g, k: 64)
+    with pytest.raises(IntegralityFailure, match=r"prec=64; working_precision chose too few bits for g=50, k=24"):
+        verlinde_dim(50, 24)
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_the_value_records_the_precision_it_ran_at(g):
+    for k in (1, 2, 7, 12, 50, 200, 1106):
+        bits = working_precision(g, k)
+        assert verlinde_dim(g, k).precision == bits, (g, k)
+        assert verlinde_dim(g, k, prec=bits + 17).precision == bits + 17, (g, k)
+    assert verlinde_dim(10, 50).precision == 124
+    assert verlinde_dim(6, 200).precision == 102
 
 
 def test_default_precision_is_96_exactly_where_96_bits_certify():
