@@ -215,16 +215,19 @@ def verify_jw(g: int, max_k: int, open_range: bool = False):
     dimension is certified at its own default precision, working_precision(g, k),
     which grows with k, so the top level's is the most any level uses.
     Each graph's counts come from one plan: its vertex order and edge
-    bookkeeping are found once, and its tables grow a level before each
-    level's sweep, so levels 1..max_k cost about as much as one level-max_k plan.
+    bookkeeping are found once.  The counts go level by level: the vertex
+    tables, shared by shape across the graphs, grow once before each level's
+    sweeps, so levels 1..max_k cost about as much as one level-max_k plan
+    per graph, and odd levels sweep the all-even labellings alone.
     """
     if type(max_k) is not int or max_k < 1:
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
     rows = []
     # the dimension depends on the genus and level, not on the graph
     dims = [verlinde_dim(g, k).dim for k in range(1, max_k + 1)]
-    for index, graph in enumerate(generate_trivalent(g)):
-        for k, (dim, count) in enumerate(zip(dims, _level_counts(graph, max_k, open_range)), start=1):
+    graphs = generate_trivalent(g)
+    for index, (graph, counts) in enumerate(zip(graphs, _level_counts(graphs, max_k, open_range))):
+        for k, (dim, count) in enumerate(zip(dims, counts), start=1):
             rows.append(
                 {
                     "graph_index": index,

@@ -30,6 +30,12 @@ class TrivalentGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # exact ints only: a bool is an int to isinstance, and graph_to_text would write it as True
+        if type(self.vertex_count) is not int:
+            raise ValueError(f"vertex count must be an integer, got {self.vertex_count!r}")
+        for edge in self.edges:
+            if any(type(end) is not int for end in edge):
+                raise ValueError(f"edge {tuple(edge)!r} has an end that is not an integer")
         edges = tuple((a, b) if a <= b else (b, a) for a, b in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.vertex_count < 2:
@@ -93,11 +99,15 @@ def _least_key(mat, n, bound=None):
     The ordering p is built one vertex at a time; placing p[r] appends the
     border (loops[p_r], mat[p_r][p_0], ..., mat[p_r][p_{r-1}]), so the key is
     decided prefix by prefix and branches above the best key so far are cut
-    early.  Any two orderings that reach the least key differ by an
-    automorphism.  With a bound, the search stops as soon as a prefix falls
-    strictly below it and returns that prefix, which every completion keeps
-    below the bound, with its partial ordering; it returns (None, None) if no
-    ordering gets below the bound.
+    early.  Every border at one depth has the same length, so an ordering that
+    reaches the least key takes, at each depth, the least border any free
+    vertex offers there: the search follows only those vertices, in increasing
+    order, and returns the first ordering, in the order of a search over every
+    vertex, that reaches the least key.  Any two orderings that reach it differ
+    by an automorphism.  With a bound, the search stops as soon as a prefix
+    falls strictly below it and returns that prefix, which every completion
+    keeps below the bound, with its partial ordering; it returns (None, None)
+    if no ordering gets below the bound.
     """
     bounded = bound is not None
     best, best_perm = bound, None
@@ -108,19 +118,25 @@ def _least_key(mat, n, bound=None):
             if best is None or key < best:
                 best, best_perm = key, perm
             return False
-        end = len(key) + len(perm) + 1
+        least, ties = None, []
         for v in range(n):
             if used >> v & 1:
                 continue
             row = mat[v]
-            cand = key + (row[v], *[row[p] for p in perm])
-            if best is not None:
-                head = best[:end]
-                if cand > head:
-                    continue
-                if bounded and cand < head:
-                    best, best_perm = cand, perm + (v,)
-                    return True
+            border = (row[v], *[row[p] for p in perm])
+            if least is None or border < least:
+                least, ties = border, [v]
+            elif border == least:
+                ties.append(v)
+        cand = key + least
+        if best is not None:
+            head = best[:len(cand)]
+            if cand > head:
+                return False
+            if bounded and cand < head:
+                best, best_perm = cand, perm + (ties[0],)
+                return True
+        for v in ties:
             if extend(perm + (v,), used | 1 << v, cand):
                 return True
         return False

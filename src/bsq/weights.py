@@ -36,6 +36,28 @@ state, does not depend on the level.  Its tables grow with the level: a
 labelling enters its vertex's table at the least level that admits it, so a
 sweep over levels 1..K builds one skeleton and adds each level's labellings
 before that level's count, at about the cost of one level-K plan.  A single count or listing grows its tables to k in one step.
+A vertex's table depends on its shape alone, not on the vertex: how many of
+its ends were labelled before, how many edges it labels and how many of those
+it opens.  There are six shapes, three ends with 0..3 labelled before and a
+loop over an end labelled before or not, so the tables live in a store keyed
+by shape and label step, which every visit of that shape reads, in one plan
+or in the plans of every class of a genus.
+
+Odd levels.  At odd k with labels up to k, the count is 2^g times the number
+of labellings whose labels are all even.  Proof: at each vertex, condition 1
+leaves 0 or 2 odd ends, so the odd edges of an admissible labelling form an
+element of the graph's Z/2 cycle space, which has 2^g elements; a loop is a
+cycle by itself.  Map j -> k - j on the edges of one element C.  At a vertex C
+takes 0 or 2 ends, and N_abc = N_{k-a,k-b,c} (the sum becomes 2k - a - b + c,
+of the same parity and at most 2k exactly when c <= a + b, and the triangle
+inequalities trade places with the level cap), so the map keeps conditions
+1-3; it is its own inverse.  At odd k it flips the parity of exactly C's
+edges, so it carries the labellings whose odd edges are D onto those whose odd
+edges are D + C, and the 2^g parity classes have one size, that of the all-even
+class.  (This is the simple current j -> k - j of su(2)_k, compare Blanchet,
+Habegger, Masbaum and Vogel, Topology 34, 1995.)  The all-even class is
+counted on tables written in steps of 2.  With labels capped below k, 0 maps to
+k outside the range, and the count takes every label, as a listing always does.
 """
 
 from __future__ import annotations
@@ -109,8 +131,8 @@ def is_admissible(graph: TrivalentGraph, k: int, numerators: Sequence[int]) -> A
     return AdmissibilityReport(not violations, tuple(violations))
 
 
-# The search for the canonical ordering takes at most 2 ms on every class up to
-# genus 5 and 45 ms on the Petersen graph (genus 6, 10 vertices), on one core of
+# The search for the canonical ordering takes at most 1 ms on every class up to
+# genus 5 and 5 ms on the Petersen graph (genus 6, 10 vertices), on one core of
 # an Intel Xeon under Python 3.11.  Above this many vertices the vertex order
 # breaks its ties by the input numbering instead.
 _CANONICAL_RANK_MAX_VERTICES = 10
@@ -124,10 +146,21 @@ class _Visit(NamedTuple):
     kept_of: Callable  # the open edges' labels -> the tuple of those that stay open
     new: tuple[int, ...]  # its edges labelled here: those it opens, then its loops
     opens: int
-    passing: dict[tuple[int, ...], list[tuple[int, ...]]]  # old labels -> new labels, grown by _grow, read by a listing
+    # the tables of its shape in a store: old labels -> new labels, grown by _grow, read by a listing
+    passing: dict[tuple[int, ...], list[tuple[int, ...]]]
     # old labels -> {opened labels: multiplicity}, or -> multiplicity where the
     # vertex opens nothing; grown by _grow for a count
     tally: dict[tuple[int, ...], dict[tuple[int, ...], int] | int]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Its ends labelled before, its new edges and those it opens: its tables
+        depend on these and the level alone."""
+        return len(self.old), len(self.new), self.opens
+
+
+# (shape, label step) -> the passing and counting tables of that shape
+_Store = dict[tuple[tuple[int, int, int], int], tuple[dict, dict]]
 
 
 def _vertex_order(graph: TrivalentGraph) -> list[int]:
@@ -170,7 +203,8 @@ def _skeleton(graph: TrivalentGraph) -> list[_Visit]:
     """One visit per vertex, in _vertex_order, each with empty tables.
 
     This is the part of a plan that does not depend on the level, so a sweep
-    over the levels builds it once and grows its tables with _grow.
+    over the levels builds it once, takes its tables from a store with _on and
+    grows them with _grow.
     """
     inc = _incidence(graph)
     labelled, open_edges, plan = set(), [], []
@@ -187,9 +221,20 @@ def _skeleton(graph: TrivalentGraph) -> list[_Visit]:
     return plan
 
 
-def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int, counting: bool = False) -> None:
-    """Add to each table the labellings that enter it at a level in lo+1..k:
-    to the counting tables when counting, else to the lists.
+def _on(skeleton: list[_Visit], store: _Store, step: int = 1) -> list[_Visit]:
+    """The plan whose visits read the tables of their shape and label step in
+    store, which gains an empty pair of tables for each shape it lacks."""
+    plan = []
+    for visit in skeleton:
+        passing, tally = store.setdefault((visit.shape, step), ({}, {}))
+        plan.append(visit._replace(passing=passing, tally=tally))
+    return plan
+
+
+def _grow(store: _Store, lo: int, k: int, max_numerator: int, counting: bool = False, step: int = 1) -> None:
+    """Add to each table of the label step in store the labellings that enter
+    it at a level in lo+1..k: to the counting tables when counting, else to
+    the lists.  Each table is grown once, however many visits read it.
 
     A labelling of a vertex's ends enters at the least level that admits it:
     half the ends' sum h, and at least its largest label plus k - max_numerator
@@ -201,23 +246,28 @@ def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int, counting: boo
     runs over its values, the second b over the run that leaves the third,
     2h - a - b, at most h (triangle) and the cap.  A bridge's label is left to
     the other vertices' conditions, which make it even in every full weight.
+    At step 2 the tables hold the labellings whose labels are all even: the
+    first end runs in steps of 2, the second too from an even start, and a
+    loop's label is even (the end under it, 2h - 2l, always is).
     """
     cap = lo - k + max_numerator  # the largest label at level lo
     # (h, floor): the labellings of ends summing to 2h whose largest label is above floor
     shells = [(h, -1) for h in range(lo + 1 if lo else 0, k + 1)]
     if lo:
         shells += [(h, cap) for h in range(max(cap + 1, 0), lo + 1)]
-    for visit in plan:
-        n_old = len(visit.old)
-        entered = {} if counting else visit.passing  # old labels -> the new labels that enter
+    for ((n_old, n_new, opens), table_step), (passing, tally) in store.items():
+        if table_step != step:
+            continue
+        entered = {} if counting else passing  # old labels -> the new labels that enter
         for h, floor in shells:
-            if n_old + len(visit.new) == 2:  # ends (x, l, l), l the loop: x = 2h - 2l is even, and l >= x/2
-                for x in range(max(0, 2 * (h - max_numerator)), min(h, max_numerator) + 1, 2):
+            if n_old + n_new == 2:  # ends (x, l, l), l the loop: x = 2h - 2l is even, and l >= x/2
+                x0 = max(0, 2 * (h - max_numerator))
+                for x in range(x0 + 2 * ((h - x0 // 2) % step), min(h, max_numerator) + 1, 2 * step):
                     ends = (x, h - x // 2)
                     if max(ends) > floor:
                         entered.setdefault(ends[:n_old], []).append(ends[n_old:])
                 continue
-            for a in range(0, min(h, max_numerator) + 1):
+            for a in range(0, min(h, max_numerator) + 1, step):
                 rest = 2 * h - a  # b + c
                 lowest, highest = max(h - a, rest - max_numerator), min(h, max_numerator)
                 if a > floor:
@@ -225,17 +275,16 @@ def _grow(plan: list[_Visit], lo: int, k: int, max_numerator: int, counting: boo
                 else:  # b or c must pass floor
                     runs = (lowest, min(highest, rest - floor - 1)), (max(lowest, floor + 1, rest - floor), highest)
                 for start, end in runs:
-                    for b in range(start, end + 1):
+                    for b in range(start + start % step, end + 1, step):
                         ends = (a, b, rest - b)
                         entered.setdefault(ends[:n_old], []).append(ends[n_old:])
         if counting:
-            _tally(visit, entered)
+            _tally(tally, opens, entered)
 
 
-def _tally(visit: _Visit, entered: dict[tuple[int, ...], list[tuple[int, ...]]]) -> None:
-    """Add the new labels that entered a vertex's table to its counting table:
+def _tally(tally: dict, opens: int, entered: dict[tuple[int, ...], list[tuple[int, ...]]]) -> None:
+    """Add the new labels that entered a table to its counting table:
     one more way to each labelling of old and of the edges it opens."""
-    tally, opens = visit.tally, visit.opens
     for key, new_labels in entered.items():
         if not opens:
             tally[key] = tally.get(key, 0) + len(new_labels)
@@ -246,12 +295,14 @@ def _tally(visit: _Visit, entered: dict[tuple[int, ...], list[tuple[int, ...]]])
             row[opened] = row.get(opened, 0) + 1
 
 
-def _plan(graph: TrivalentGraph, k: int, max_numerator: int, counting: bool = False) -> list[_Visit]:
-    """The level-k plan: a table per vertex from the labels of its ends labelled
-    before to every labelling of its new edges that passes conditions 1-3 there,
-    as counting tables when counting, else as lists."""
-    plan = _skeleton(graph)
-    _grow(plan, 0, k, max_numerator, counting)
+def _plan(graph: TrivalentGraph, k: int, max_numerator: int, counting: bool = False, step: int = 1) -> list[_Visit]:
+    """The level-k plan: a table per vertex shape from the labels of its ends
+    labelled before to every labelling of its new edges that passes conditions
+    1-3 there, labels in steps of step, as counting tables when counting, else
+    as lists."""
+    store = {}
+    plan = _on(_skeleton(graph), store, step)
+    _grow(store, 0, k, max_numerator, counting, step)
     return plan
 
 
@@ -297,17 +348,33 @@ def enumerate_admissible(graph: TrivalentGraph, k: int, max_numerator: int | Non
 
 
 def count_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> int:
-    """Number of admissible weights, counted without materializing them."""
-    return _sweep(_plan(graph, k, _check_enum_args(k, max_numerator), counting=True))
+    """Number of admissible weights, counted without materializing them: at odd
+    k with labels up to k (none above k can occur), 2^g times the all-even ones."""
+    max_numerator = _check_enum_args(k, max_numerator)
+    if k % 2 and max_numerator >= k:
+        return _sweep(_plan(graph, k, max_numerator, counting=True, step=2)) << graph.genus
+    return _sweep(_plan(graph, k, max_numerator, counting=True))
 
 
-def _level_counts(graph: TrivalentGraph, max_k: int, open_range: bool) -> list[int]:
+def _level_counts(graphs: Sequence[TrivalentGraph], max_k: int, open_range: bool) -> list[list[int]]:
     """count_admissible(graph, k, k - 1 if open_range else k) for k = 1..max_k,
-    from one skeleton whose counting tables grow a level before each sweep."""
-    plan, counts = _skeleton(graph), []
+    one list per graph, from one skeleton per graph whose counting tables come
+    from one store that every graph shares.  Level by level, the tables that
+    level reads grow once, then every graph's plan is swept.  With labels up
+    to k, odd levels count the all-even labellings, on the even tables grown
+    from the previous odd level, and even levels take every label, on the full
+    tables grown from the previous even level; with labels below k, every
+    level takes every label."""
+    skeletons = [_skeleton(graph) for graph in graphs]
+    store, counts = {}, [[] for _ in graphs]
+    plans = {step: [_on(skeleton, store, step) for skeleton in skeletons] for step in ((1,) if open_range else (1, 2))}
+    grown = dict.fromkeys(plans, 0)  # the level that each step's tables have reached
     for k in range(1, max_k + 1):
-        _grow(plan, k - 1, k, k - 1 if open_range else k, counting=True)
-        counts.append(_sweep(plan))
+        step = 1 if open_range or k % 2 == 0 else 2
+        _grow(store, grown[step], k, k - 1 if open_range else k, counting=True, step=step)
+        grown[step] = k
+        for graph, plan, row in zip(graphs, plans[step], counts):
+            row.append(_sweep(plan) << (graph.genus if step == 2 else 0))
     return counts
 
 

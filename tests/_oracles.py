@@ -4,7 +4,9 @@ Graphs are raw (vertex_count, edge list) pairs, bridges come from a naive
 remove-and-check scan, and admissible labelings, and the labels that pass
 one vertex, come from exhaustive filtering with inline condition checks.
 Slow on purpose; the count alone also comes from a contraction of one
-fusion tensor per vertex over every labeling.  Dimensions at
+fusion tensor per vertex over every labeling.  A graph's cycle space comes
+from the fundamental cycles of a spanning tree, and canonical keys from
+every vertex permutation.  Dimensions at
 larger levels come from the trace of a fusion-rule matrix power, and the
 Verlinde sum from a Neumaier loop over mpmath mpf objects, and Bernoulli
 numbers from their recurrence in Fractions.  The u-curve
@@ -128,6 +130,75 @@ def oracle_vertex_table(n, edges, k, max_numerator, v, old, new):
             continue
         table.setdefault(labels[: len(old)], []).append(labels[len(old):])
     return table
+
+
+def oracle_admissible(n, edges, k, labels):
+    """Whether one labeling passes the parity, level cap and triangle
+    conditions at every vertex, a loop's label counted at both its ends."""
+    ends = [[] for _ in range(n)]
+    for label, (a, b) in zip(labels, edges):
+        ends[a].append(label)
+        ends[b].append(label)
+    return all(sum(e) % 2 == 0 and sum(e) <= 2 * k and 2 * max(e) <= sum(e) for e in ends)
+
+
+def oracle_cycle_space(n, edges):
+    """The Z/2 cycle space of a graph, every element a frozenset of edge
+    indices: the sums of the fundamental cycles of a spanning tree found by a
+    depth-first walk from vertex 0, one per edge off the tree (a loop is a
+    cycle by itself).  Returns the basis and the set of all sums."""
+    reached = {0: []}  # vertex -> the tree edges from vertex 0 to it
+    tree, stack = set(), [0]
+    while stack:
+        v = stack.pop()
+        for idx, (a, b) in enumerate(edges):
+            w = b if a == v else a if b == v else None
+            if w is not None and w not in reached:
+                reached[w] = reached[v] + [idx]
+                tree.add(idx)
+                stack.append(w)
+    basis = [frozenset(reached[a]) ^ frozenset(reached[b]) ^ {idx}
+             for idx, (a, b) in enumerate(edges) if idx not in tree]
+    space = set()
+    for picks in itertools.product((False, True), repeat=len(basis)):
+        element = frozenset()
+        for pick, cycle in zip(picks, basis):
+            if pick:
+                element ^= cycle
+        space.add(element)
+    return basis, space
+
+
+def oracle_simple_current(labels, edge_set, k):
+    """The labeling with j -> k - j on the edges of edge_set."""
+    return tuple(k - j if idx in edge_set else j for idx, j in enumerate(labels))
+
+
+def oracle_even_fusion_dimension(g, k):
+    """Tr(H_e^(g-1)) with H_e = sum_{c,d} N_acd N_bcd over the su(2)_k fusion
+    rules on the even numerators 0, 2, ..., <= k alone, in Python integers: the
+    genus-g count of the fusion ring of the even labels."""
+    even = np.arange(0, k + 1, 2)
+    a, b, c = np.meshgrid(even, even, even, indexing="ij")
+    s = a + b + c
+    fuses = ((s % 2 == 0) & (s <= 2 * k) & (2 * np.maximum(np.maximum(a, b), c) <= s)).astype(np.int64)
+    h = np.einsum("acd,bcd->ab", fuses, fuses).astype(object)
+    power = np.identity(len(even), dtype=int).astype(object)
+    for _ in range(g - 1):
+        power = power.dot(h)
+    return int(sum(power.diagonal()))
+
+
+def oracle_least_key(n, mat):
+    """The least bordered key over every ordering p of vertices 0..n-1 (row r
+    adds loops[p_r], then mat[p_r][p_0..p_{r-1}]), and the first ordering in
+    lexicographic order that reaches it."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        key = tuple(x for r, v in enumerate(perm) for x in [mat[v][v]] + [mat[v][u] for u in perm[:r]])
+        if best is None or key < best[0]:
+            best = key, perm
+    return best
 
 
 def oracle_fusion_dimension(g, k):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import _oracles
 from bsq.trigraph import (
     DUMBBELL_GRAPH,
     THETA_GRAPH,
@@ -132,6 +133,38 @@ def test_least_key_ordering_rebuilds_the_key(g):
         for r, v in enumerate(ordering):
             rebuilt += (mat[v][v], *[mat[v][u] for u in ordering[:r]])
         assert rebuilt == key == canonical_key(graph)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_least_key_and_ordering_equal_the_brute_force_over_every_permutation(g):
+    # the key, and the first ordering in lexicographic order that reaches it;
+    # a search bounded by a key finds a lesser one exactly when there is one
+    rng = random.Random(50 + g)
+    for graph in generate_trivalent(g):
+        n = graph.vertex_count
+        for relabelled in (graph, *(relabel(graph, rng.sample(range(n), n)) for _ in range(2))):
+            mat = _matrix(relabelled)
+            least, first = _oracles.oracle_least_key(n, [row[:] for row in mat])
+            assert _least_key(mat, n) == (least, first), relabelled.edges
+            assert _least_key(mat, n, bound=least) == (None, None)
+            as_given = tuple(x for r in range(n) for x in [mat[r][r]] + mat[r][:r])
+            assert (_least_key(mat, n, bound=as_given)[0] is None) == (as_given == least)
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges",
+    [
+        pytest.param(2, ((0, True), (0, 1), (0, 1)), id="bool-end"),
+        pytest.param(2.0, ((0, 1), (0, 1), (0, 1)), id="float-vertex-count"),
+        pytest.param(4.0, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), id="float-vertex-count-4"),
+        pytest.param(2, ((0, 1.0), (0, 1), (0, 1)), id="float-end"),
+    ],
+)
+def test_a_graph_takes_only_exact_integers(vertex_count, edges):
+    # a bool end was accepted and written as "e 0 True", which the parser
+    # refuses; a float raised TypeError
+    with pytest.raises(ValueError, match="integer"):
+        TrivalentGraph(vertex_count, edges)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

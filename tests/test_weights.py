@@ -293,25 +293,62 @@ def test_plan_tables_match_the_exhaustive_vertex_filter(k):
                         assert got == expected, (relabelled.edges, v, max_numerator)
 
 
+def _shared_plans(g, rng, step=1):
+    """Every genus-g class, renumbered, with its vertex order and a plan on one
+    store of tables that all of them share, as verify_jw builds them."""
+    store, classes = {}, []
+    for graph in generate_trivalent(g):
+        relabelled = _shuffled(graph, rng)
+        plan = weights_module._on(weights_module._skeleton(relabelled), store, step)
+        classes.append((relabelled, weights_module._vertex_order(relabelled), plan))
+    return store, classes
+
+
 @pytest.mark.parametrize("open_range", [False, True])
 def test_grown_plan_tables_match_the_exhaustive_vertex_filter_at_every_level(open_range):
-    # one skeleton per class whose tables grow a level at a time, as verify_jw
-    # sweeps them: each level's tables are that level's plan, with no labelling twice
+    # one skeleton per class on tables shared by shape across the classes of a
+    # genus, grown a level at a time as verify_jw sweeps them: each level's
+    # tables are, at every vertex of every class, that level's plan, with no
+    # labelling twice
     rng = random.Random(100 + open_range)
     for g, max_k in ((2, 9), (3, 6), (4, 4)):
-        for graph in generate_trivalent(g):
-            relabelled = _shuffled(graph, rng)
-            order = weights_module._vertex_order(relabelled)
-            plan = weights_module._skeleton(relabelled)
-            for k in range(1, max_k + 1):
-                max_numerator = k - 1 if open_range else k
-                weights_module._grow(plan, k - 1, k, max_numerator)
+        store, classes = _shared_plans(g, rng)
+        for k in range(1, max_k + 1):
+            max_numerator = k - 1 if open_range else k
+            weights_module._grow(store, k - 1, k, max_numerator)
+            for relabelled, order, plan in classes:
                 for v, visit in zip(order, plan):
                     expected = _oracles.oracle_vertex_table(
                         relabelled.vertex_count, relabelled.edges, k, max_numerator, v, visit.old, visit.new
                     )
                     got = {key: sorted(new) for key, new in visit.passing.items()}
                     assert got == expected, (relabelled.edges, k, v)
+
+
+def test_even_tables_match_the_exhaustive_vertex_filter_at_odd_levels():
+    # tables at label step 2, grown from one odd level to the next as verify_jw
+    # grows them: the vertex's labellings whose labels are all even, and their tallies
+    def even(labels):
+        return not any(j % 2 for j in labels)
+
+    rng = random.Random(300)
+    for g, max_k in ((2, 11), (3, 7), (4, 5)):
+        store, classes = _shared_plans(g, rng, step=2)
+        for k in range(1, max_k + 1, 2):
+            weights_module._grow(store, max(k - 2, 0), k, k, step=2)
+            weights_module._grow(store, max(k - 2, 0), k, k, counting=True, step=2)
+            for relabelled, order, plan in classes:
+                for v, visit in zip(order, plan):
+                    table = _oracles.oracle_vertex_table(
+                        relabelled.vertex_count, relabelled.edges, k, k, v, visit.old, visit.new
+                    )
+                    expected = {key: [new for new in rows if even(new)] for key, rows in table.items() if even(key)}
+                    expected = {key: rows for key, rows in expected.items() if rows}
+                    got = {key: sorted(new) for key, new in visit.passing.items()}
+                    assert got == expected, (relabelled.edges, k, v)
+                    for key, rows in expected.items():
+                        opened = Counter(new[: visit.opens] for new in rows)
+                        assert visit.tally[key] == (opened if visit.opens else len(rows))
 
 
 def test_the_tensor_oracle_counts_what_the_exhaustive_filter_lists():
@@ -345,14 +382,13 @@ def test_counting_tables_tally_the_lists_at_every_level(open_range):
     rng = random.Random(200 + open_range)
     looped_above_one = set()
     for g, max_k in ((2, 8), (3, 6), (4, 4)):
-        for graph in generate_trivalent(g):
-            looped = any(a == b for a, b in graph.edges)
-            relabelled = _shuffled(graph, rng)
-            plan = weights_module._skeleton(relabelled)
-            for k in range(1, max_k + 1):
-                max_numerator = k - 1 if open_range else k
-                weights_module._grow(plan, k - 1, k, max_numerator)
-                weights_module._grow(plan, k - 1, k, max_numerator, counting=True)
+        store, classes = _shared_plans(g, rng)
+        for k in range(1, max_k + 1):
+            max_numerator = k - 1 if open_range else k
+            weights_module._grow(store, k - 1, k, max_numerator)
+            weights_module._grow(store, k - 1, k, max_numerator, counting=True)
+            for relabelled, _, plan in classes:
+                looped = any(a == b for a, b in relabelled.edges)
                 for visit in plan:
                     assert visit.tally.keys() == visit.passing.keys()
                     for key, new_labels in visit.passing.items():
@@ -471,3 +507,141 @@ def test_a_listing_holds_at_most_twice_its_own_size():
         size = sys.getsizeof(found) + sum(map(sys.getsizeof, found))
         assert len(found) == 43953
         assert peak <= 2 * size, (entry["text"], peak / size)
+
+
+# the parity route: at odd k, j -> k - j on an element C of the cycle space
+# carries each parity class onto another, so dim(g, k) = 2^g times the even count
+def _classes_renumbered(g, seed):
+    rng = random.Random(seed)
+    return [_shuffled(graph, rng) for graph in generate_trivalent(g)]
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (2, 3), (2, 5), (2, 7), (3, 1), (3, 3), (3, 5), (3, 7), (4, 1), (4, 3)])
+def test_the_simple_current_on_a_cycle_flips_its_parity_at_odd_levels(g, k):
+    for graph in _classes_renumbered(g, 10 * g + k):
+        n, edges = graph.vertex_count, graph.edges
+        basis, space = _oracles.oracle_cycle_space(n, edges)
+        assert len(basis) == g and len(space) == 2**g
+        listed = enumerate_admissible(graph, k)
+        sizes = Counter(frozenset(i for i, j in enumerate(w) if j % 2) for w in listed)
+        assert set(sizes) == space, edges  # the odd edges form an element, and each is met
+        assert set(sizes.values()) == {len(listed) >> g}, edges
+        for cycle in space:
+            images = []
+            for w in listed:
+                image = _oracles.oracle_simple_current(w, cycle, k)
+                assert _oracles.oracle_admissible(n, edges, k, image), (edges, w, cycle)
+                assert {i for i, (j, m) in enumerate(zip(w, image)) if (j - m) % 2} == cycle
+                images.append(image)
+            assert sorted(images) == listed, (edges, cycle)
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_the_simple_current_keeps_parity_at_even_levels_and_needs_a_cycle(g, k):
+    for graph in _classes_renumbered(g, 20 * g + k):
+        n, edges = graph.vertex_count, graph.edges
+        space = _oracles.oracle_cycle_space(n, edges)[1]
+        listed = enumerate_admissible(graph, k)
+        for size in range(1, len(edges) + 1):
+            for edge_set in map(frozenset, itertools.combinations(range(len(edges)), size)):
+                images = [_oracles.oracle_simple_current(w, edge_set, k) for w in listed]
+                if edge_set not in space:  # some vertex meets it once: a label k beside two of 0 breaks it
+                    assert not all(_oracles.oracle_admissible(n, edges, k, image) for image in images)
+                elif k % 2 == 0:
+                    assert sorted(images) == listed
+                    assert all((j - m) % 2 == 0 for w, image in zip(listed, images) for j, m in zip(w, image))
+
+
+@pytest.mark.parametrize("g, max_k", [(2, 15), (3, 11), (4, 7)])
+def test_odd_level_counts_are_2_to_the_g_times_the_even_fusion_trace(g, max_k):
+    for k in range(1, max_k + 1, 2):
+        even = _oracles.oracle_even_fusion_dimension(g, k)
+        assert even << g == _oracles.oracle_fusion_dimension(g, k)
+        for graph in _classes_renumbered(g, 30 * g + k):
+            assert count_admissible(graph, k) == even << g, (graph.edges, k)
+            assert count_admissible(graph, k, k + 3) == even << g, (graph.edges, k)
+
+
+@pytest.mark.parametrize("g, max_k", [(2, 7), (3, 3), (4, 1)])
+def test_odd_level_counts_equal_the_exhaustive_filter(g, max_k):
+    for k in range(1, max_k + 1, 2):
+        for graph in _classes_renumbered(g, 40 * g + k):
+            assert count_admissible(graph, k) == _oracles.oracle_count(graph.vertex_count, graph.edges, k)
+
+
+def _watching_sweeps(monkeypatch):
+    """Replace _sweep by one that records, per call, whether every state it
+    read (the labels of the open edges as each visit meets them) was even."""
+    even_only, sweep = [], weights_module._sweep
+
+    def watched(plan):
+        states = []
+
+        def reading(old_of):
+            def read(labels):
+                states.append(labels)
+                return old_of(labels)
+            return read
+
+        count = sweep([visit._replace(old_of=reading(visit.old_of)) for visit in plan])
+        even_only.append(not any(j % 2 for labels in states for j in labels))
+        return count
+
+    monkeypatch.setattr(weights_module, "_sweep", watched)
+    return even_only
+
+
+def test_odd_levels_sweep_the_even_labels_alone(monkeypatch):
+    even_only = _watching_sweeps(monkeypatch)
+    for graph in (THETA_GRAPH, DUMBBELL_GRAPH, *_GENUS3, *_GENUS4):
+        for k in range(1, 8):
+            assert count_admissible(graph, k) == verlinde_dim(graph.genus, k).dim
+            assert even_only.pop() or k % 2 == 0, (graph.edges, k)
+    # where a sweep takes every label, the watch sees odd ones: the theta
+    # graph's first vertex opens all three edges
+    count_admissible(THETA_GRAPH, 2)
+    count_admissible(THETA_GRAPH, 3, 2)
+    assert even_only == [False, False]
+    even_only.clear()
+    rows, ok = verify_jw(3, 6)
+    assert ok
+    # level by level, each level's sweeps over the five classes
+    levels = [even_only[5 * k - 5:5 * k] for k in range(1, 7)]
+    assert [all(level) for level in levels] == [True, False] * 3
+
+
+def test_the_open_range_keeps_the_full_sweep_and_its_mismatch(monkeypatch):
+    even_only = _watching_sweeps(monkeypatch)
+    rows, ok = verify_jw(3, 5, open_range=True)
+    assert not ok and not any(row["match"] for row in rows)
+    # at k = 1 the labels are all 0; above it, every level reads odd ones
+    assert [all(even_only[5 * k - 5:5 * k]) for k in range(1, 6)] == [True] + [False] * 4
+    for row in rows:
+        n, edges = 4, [tuple(e) for e in row["edges"]]
+        expected = _oracles.oracle_tensor_count(n, edges, row["level"], row["level"] - 1)
+        assert row["weight_count"] == expected
+
+
+def test_verify_jw_grows_each_shape_table_once_per_level(monkeypatch):
+    # one store for all the classes: a table per shape and label step, grown
+    # once before each level's sweeps
+    grown, grow = [], weights_module._grow
+
+    def recorded(store, lo, k, max_numerator, counting=False, step=1):
+        grown.append((lo, k, step, sorted(store)))
+        grow(store, lo, k, max_numerator, counting, step)
+
+    monkeypatch.setattr(weights_module, "_grow", recorded)
+    verify_jw(4, 6)
+    shapes = sorted({visit.shape for graph in generate_trivalent(4) for visit in weights_module._skeleton(graph)})
+    assert shapes == [(0, 2, 1), (0, 3, 3), (1, 1, 0), (1, 2, 2), (2, 1, 1), (3, 0, 0)]
+    keys = sorted((shape, step) for shape in shapes for step in (1, 2))
+    assert grown == [(max(k - 2, 0), k, 1 + k % 2, keys) for k in range(1, 7)]
+    # every visit of a shape, in any class, reads that shape's tables themselves
+    store = {}
+    for graph in generate_trivalent(4):
+        for step in (1, 2):
+            for visit in weights_module._on(weights_module._skeleton(graph), store, step):
+                passing, tally = store[visit.shape, step]
+                assert visit.passing is passing and visit.tally is tally
+    assert len(store) == 12
