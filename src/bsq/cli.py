@@ -169,6 +169,15 @@ def _cmd_theta_basis(args: argparse.Namespace):
     return _document(args, p, body), 0
 
 
+def _each_b(points, convert) -> list:
+    """convert(point.b) for each point, made once per b object: the points of one grid index share theirs."""
+    done = {}
+    for point in points:
+        if id(point.b) not in done:
+            done[id(point.b)] = convert(point.b)
+    return [done[id(point.b)] for point in points]
+
+
 def _cmd_ucurve(args: argparse.Namespace):
     _at_least("--level", args.level, 1)
     u = _parse_complex(args.u, "--u")
@@ -186,24 +195,17 @@ def _cmd_ucurve(args: argparse.Namespace):
     if args.format == "csv":
         lines = ["b,re_s,im_s,m"]
         lines.extend(
-            f"{float(pt.b)!r},{pt.s.real!r},{pt.s.imag!r},{pt.m}" for pt in slc.points
+            f"{b},{pt.s.real!r},{pt.s.imag!r},{pt.m}"
+            for b, pt in zip(_each_b(slc.points, lambda b: repr(float(b))), slc.points)
         )
         return "\n".join(lines) + "\n", 0
     p = {"level": k, "u": [u.real, u.imag], "s_min": args.s_min, "s_max": args.s_max, "grid": args.grid,
          "tol": args.tol}
-    body = {
-        "u": _complex_json(slc.u),
-        "count": len(slc.points),
-        "points": [
-            {
-                "b": float(pt.b),
-                "b_exact": str(pt.b),
-                "s": _complex_json(pt.s),
-                "m": pt.m,
-            }
-            for pt in slc.points
-        ],
-    }
+    points = [
+        {"b": b, "b_exact": b_exact, "s": _complex_json(pt.s), "m": pt.m}
+        for (b, b_exact), pt in zip(_each_b(slc.points, lambda b: (float(b), str(b))), slc.points)
+    ]
+    body = {"u": _complex_json(slc.u), "count": len(slc.points), "points": points}
     return _document(args, p, body), 0
 
 

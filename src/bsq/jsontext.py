@@ -4,21 +4,21 @@ The text is streamed one value at a time.  The costly part of a large document
 is float.__repr__, so what repeats is formatted once: a list of like records
 from one %-template, and each row of a complex matrix from the text of its
 least repeating block of [re, im] pairs, found by comparing the row's bytes.
-A list of flat int rows (a weights listing) is written _BLOCK_ROWS rows per
-%-format of a %d template.
+A list of like records, or of flat int rows (a weights listing), is written
+_BLOCK_ROWS items per %-format.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
 _INT = {int}
 _ROW = {list, tuple}
-# rows per %-format of a list of flat int rows: the text held at once is about one block
+# items per %-format of a list of flat int rows or like records: the text held at once is about one block
 _BLOCK_ROWS = 512
 
 
@@ -116,8 +116,9 @@ def _write_records(records: list, write, nl: str) -> bool:
 
     Like records are dicts with the same str keys whose values under each key
     are all scalars of one kind (see _scalars), or all non-empty flat lists of
-    them of one length.  The template is built once from the first record, and
-    the arguments are gathered column by column.
+    them of one length.  The template is built once from the first record, the
+    arguments are gathered column by column, and _BLOCK_ROWS records are
+    written per %-format and per write.
     """
     first = records[0]
     if not first or set(map(type, records)) != {dict} or set(map(len, records)) != {len(first)}:
@@ -147,10 +148,12 @@ def _write_records(records: list, write, nl: str) -> bool:
         columns += [args for _, args in parts]
     inner = nl + "  "
     template = "{" + field_nl + ("," + field_nl).join(fields) + inner + "}"
-    sep = "[" + inner
-    for row in zip(*columns):
-        write(sep + template % row)
-        sep = "," + inner
+    sep, next_sep = "[" + inner, "," + inner
+    rows = zip(*columns)
+    for start in range(0, len(records), _BLOCK_ROWS):
+        count = min(_BLOCK_ROWS, len(records) - start)
+        write(sep + next_sep.join([template] * count) % tuple(chain.from_iterable(islice(rows, count))))
+        sep = next_sep
     write(nl + "]")
     return True
 
@@ -193,8 +196,8 @@ def dump(value, write) -> None:
     the whole text before returning it.  Here a container is written item by
     item, a list of flat int rows of one width (such as a weights listing)
     _BLOCK_ROWS rows at a time from one %d template, a list of like records
-    (such as the points of a u-curve slice) one record at a time from one %-template,
-    and a complex matrix (an ndarray, which json cannot write) as rows of
+    (such as the points of a u-curve slice) _BLOCK_ROWS records at a time from
+    one %-template, and a complex matrix (an ndarray, which json cannot write) as rows of
     [re, im] pairs, so the text held at once is about one row or one block of
     rows.  A row whose bytes repeat with a period that divides its width has
     its first period formatted once and that text repeated (see

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, groupby
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,12 @@ class SupercyclePoint:
 
     def __post_init__(self):
         if type(self.s) is not complex:
-            object.__setattr__(self, "s", complex(self.s))
+            object.__setattr__(self, "s", complex(_number("s", self.s)))
         if type(self.u) is not complex:
-            object.__setattr__(self, "u", complex(self.u))
+            object.__setattr__(self, "u", complex(_number("u", self.u)))
         b = self.b
         # a Fraction's denominator is positive, so this is 0 <= b < 1 without a Fraction comparison
-        if not (0 <= b.numerator < b.denominator if type(b) is Fraction else 0 <= b < 1):
+        if not (0 <= b.numerator < b.denominator if type(b) is Fraction else 0 <= _number("b", b, numbers.Real) < 1):
             raise ValueError(f"b must lie in [0, 1), got {b}")
         if type(self.m) is not int:
             raise ValueError(f"branch m must be an integer, got {self.m!r}")
@@ -59,6 +61,16 @@ class UCurveSlice:
         object.__setattr__(self, "points", tuple(self.points))
         if any(p.u != self.u for p in self.points):
             raise ValueError("all points of a slice must share its u")
+
+
+def _number(name: str, value, kind=numbers.Number):
+    """value, if it is a number of the kind; a bool or a str raises ValueError.
+
+    complex() and float() parse a str, and both read a bool as 0 or 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _check_level(k):
@@ -89,24 +101,13 @@ def zero_level_fiber(k: int) -> UCurveSlice:
     return UCurveSlice(u=0j, points=points)
 
 
-def _minimize_residual(c: float, u: complex, lo: float, hi: float) -> float:
-    """The real s in [lo, hi] that minimises |c + u*s|.
-
-    |c + u*s|^2 = |u|^2 s^2 + 2 c Re(u) s + c^2 is a convex quadratic with its
-    vertex at -c Re(u) / |u|^2, so the minimiser on the interval is that vertex
-    clipped to it.  Adding 0.0 turns a vertex of -0.0 into 0.0.
-    """
-    vertex = -c * u.real / (u.real * u.real + u.imag * u.imag)
-    return min(max(vertex, lo), hi) + 0.0
-
-
 def _exact_test(u: complex, lo: float, hi: float, tol: float, grid: int):
     """The on-locus test as a function of the integer C: whether the least |c + u*s|
     over s in [lo, hi] is below tol at c = C/grid.
 
     It is exact at the binary values of u, lo, hi and tol: each is written as
-    an integer over one common denominator L, and the clip of
-    _minimize_residual and the comparison with tol^2 are multiplied out to
+    an integer over one common denominator L, and the clip of the minimiser
+    (see trace_slice) and the comparison with tol^2 are multiplied out to
     integer comparisons.
     """
     values = [Fraction(x) for x in (u.real, u.imag, lo, hi, tol)]
@@ -158,10 +159,10 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     """Sample the level-u locus over b in [0,1) with s real in s_window.
 
     For every integer branch m and each of the `grid` values b = i/grid, s
-    is the exact minimiser over the window of |k*b + u*s - m| (see
-    _minimize_residual), and the candidate is on the locus when that
-    smallest residual is below tol, decided exactly at the binary values of
-    u, s_window and tol (_exact_test).  For real u the slice thus holds
+    is the exact minimiser over the window of |k*b + u*s - m|, and the
+    candidate is on the locus when that smallest residual is below tol,
+    decided exactly at the binary values of u, s_window and tol
+    (_exact_test).  For real u the slice thus holds
     exactly the grid pairs whose root (m - k*b)/u lies in s_window widened
     by tol/|u|.
 
@@ -169,8 +170,8 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     the numerator of c = k*b - m, and is convex in N, so the kept N form one
     interval for the whole slice, found once by galloping and bisection
     (_kept_numerators).  Each branch's kept indices follow by integer
-    division, and only their points are made.  The cost is O(log width)
-    exact tests plus O(k + points) integer work.
+    division, and only their points are made, one Fraction per kept index.
+    The cost is O(log width) exact tests plus O(k + points) integer work.
 
     Candidates closer than 10*tol in both b and s are deduplicated: sorted by
     (b, |s|, m), a candidate is dropped when an earlier kept one lies within
@@ -178,66 +179,92 @@ def trace_slice(k: int, u: complex, s_window: tuple[float, float], grid: int, to
     depends only on the arguments.  Output is sorted by (m, b, |s|), with b
     an exact Fraction.
 
-    |u|^2 = Re(u)^2 + Im(u)^2, the divisor of _minimize_residual, must be a
-    normal double; a u outside that range raises ValueError.
+    |u|^2 = Re(u)^2 + Im(u)^2, the divisor of the minimiser, must be a
+    normal double; a u outside that range raises ValueError.  u, the ends of
+    s_window and tol must be numbers, and not bools.
     """
     _check_level(k)
-    u = complex(u)
+    u = complex(_number("u", u))
     if u == 0 or not cmath.isfinite(u):
         raise ValueError(f"u must be finite and nonzero, got {u}; the u = 0 fiber is zero_level_fiber(k)")
     if not sys.float_info.min <= u.real * u.real + u.imag * u.imag <= sys.float_info.max:
         raise ValueError(f"|u|^2 must lie in the normal double range, got u = {u}")
-    lo, hi = float(s_window[0]), float(s_window[1])
+    lo, hi = (float(_number("s_window", end, numbers.Real)) for end in s_window)
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"s_window must be a finite increasing interval, got ({lo}, {hi})")
     if type(grid) is not int or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
-    if not (tol > 0 and math.isfinite(tol)):
+    if not (_number("tol", tol, numbers.Real) > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
     below = _exact_test(u, lo, hi, tol, grid)
     # over c and s together |c + u*s| is least at s = clip(0, lo, hi), c = -Re(u)*s
     numerators = _kept_numerators(below, -Fraction(u.real) * Fraction(min(max(0.0, lo), hi)) * grid)
-    # candidates as (b, |s|, m, s, i) with b = i / grid, the double nearest to
-    # Fraction(i, grid); the Fraction is made only for the points kept
-    candidates = []
-    if numerators is not None:
-        n_lo, n_hi = numerators
-        # the m whose reals i in [0, grid - 1] meet n_lo <= k*i - m*grid <= n_hi
-        for m in range(-(n_hi // grid), (k * (grid - 1) - n_lo) // grid + 1):
-            for i in range(max(-((-n_lo - m * grid) // k), 0), min((n_hi + m * grid) // k, grid - 1) + 1):
-                s = _minimize_residual((k * i - m * grid) / grid, u, lo, hi)
-                candidates.append((i / grid, abs(s), m, s, i))
+    if numerators is None:
+        return UCurveSlice(u=u, points=())
+    n_lo, n_hi = numerators
+    # the branches m with some i in [0, grid - 1] meeting n_lo <= k*i - m*grid <= n_hi;
+    # each has an interval of such i, and the intervals move up with m, so merged
+    # in order they give the kept i in increasing order
+    branch_range = range(-(n_hi // grid), (k * (grid - 1) - n_lo) // grid + 1)
+    spans = []
+    for m in branch_range:
+        start, stop = max(-((-n_lo - m * grid) // k), 0), min((n_hi + m * grid) // k, grid - 1) + 1
+        if spans and start <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], stop)
+        elif start < stop:
+            spans.append([start, stop])
+    indices = chain.from_iterable(range(start, stop) for start, stop in spans)
 
-    # dedup at 10*tol in both coordinates, preferring smaller b then smaller |s|
-    candidates.sort()
-    kept = []
-    for p in candidates:
-        duplicate = False
-        for q in reversed(kept):
-            if p[0] - q[0] >= 10.0 * tol:
-                break
-            if abs(p[3] - q[3]) < 10.0 * tol:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(p)
-    kept.sort(key=lambda p: (p[2], p[0], p[1]))
-    points = tuple(
-        SupercyclePoint(b=Fraction(i, grid), s=complex(s, 0.0), u=u, m=m) for _, _, m, s, i in kept
-    )
-    return UCurveSlice(u=u, points=points)
+    # |c + u*s|^2 = |u|^2 s^2 + 2 c Re(u) s + c^2, c = k*b - m, is a convex quadratic
+    # in s with its vertex at -c Re(u) / |u|^2, so s is that vertex clipped to the
+    # window; adding 0.0 turns a vertex of -0.0 into 0.0
+    ur, q = u.real, u.real * u.real + u.imag * u.imag
+    # dedup at 10*tol in both coordinates, walking the candidates in (b, |s|, m)
+    # order, b = i / grid the double nearest to Fraction(i, grid); kept_b and
+    # kept_s hold the kept ones, and each is filed under its branch, so every
+    # branch's points come in b order
+    window = 10.0 * tol
+    kept_b, kept_s = [], []
+    branches = [[] for _ in branch_range]
+    for b, run in groupby(indices, key=lambda i: i / grid):
+        candidates = []
+        for i in run:
+            exact, ki = Fraction(i, grid), k * i
+            for m in range(-((n_hi - ki) // grid), (ki - n_lo) // grid + 1):
+                s = min(max(-((ki - m * grid) / grid) * ur / q, lo), hi) + 0.0
+                candidates.append((abs(s), m, s, i, exact))
+        candidates.sort()
+        # the kept points within 10*tol in b are a suffix of them, the same for every candidate here
+        first = len(kept_b)
+        while first and b - kept_b[first - 1] < window:
+            first -= 1
+        near = kept_s[first:]
+        for _, m, s, _, exact in candidates:
+            for t in near:
+                if abs(s - t) < window:
+                    break
+            else:
+                near.append(s)
+                kept_b.append(b)
+                kept_s.append(s)
+                branches[m - branch_range.start].append(SupercyclePoint(exact, complex(s, 0.0), u, m))
+    return UCurveSlice(u=u, points=tuple(chain.from_iterable(branches)))
 
 
 def deck_translate(point: SupercyclePoint, k: int) -> SupercyclePoint:
-    """Order-k symmetry b -> b + 1/k (mod 1), m -> m + 1, minus k on wraparound."""
+    """Order-k symmetry b -> b + 1/k (mod 1), m -> m + 1, minus k on wraparound.
+
+    A float b is translated exactly and rounded once; a b that rounds up to
+    1.0 wraps to 0.0, and the branch with it.
+    """
     _check_level(k)
-    if isinstance(point.b, Fraction):
-        b = point.b + Fraction(1, k)
-        if b >= 1:
-            return SupercyclePoint(b=b - 1, s=point.s, u=point.u, m=point.m + 1 - k)
-    else:
-        b = point.b + 1.0 / k
-        if b >= 1.0:
-            return SupercyclePoint(b=b - 1.0, s=point.s, u=point.u, m=point.m + 1 - k)
-    return SupercyclePoint(b=b, s=point.s, u=point.u, m=point.m + 1)
+    exact = isinstance(point.b, Fraction)
+    b, m = (point.b if exact else Fraction(float(point.b))) + Fraction(1, k), point.m + 1
+    if b >= 1:
+        b, m = b - 1, m - k
+    if not exact:
+        b = float(b)
+        if b == 1.0:
+            b, m = 0.0, m - k
+    return SupercyclePoint(b=b, s=point.s, u=point.u, m=m)

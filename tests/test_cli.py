@@ -791,6 +791,38 @@ def test_writing_a_long_listing_holds_about_one_block(tmp_path):
     assert peak < size / 20
 
 
+def _records(count: int) -> list:
+    # like records, as a u-curve slice's points: keys out of order, a % in the text, -0.0 and big ints
+    return [
+        {"s": [i / 7, -0.0 if i % 2 else 1e-300], "m": (i - 3) * 10 ** (i % 25), "b_exact": f"{i}/%d", "b": i * 0.1}
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("count", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_dumps_writes_like_records_a_block_at_a_time_as_json_does(count):
+    records = _records(count)
+    assert _dumped({"points": records}) == json.dumps({"points": records}, sort_keys=True, indent=2)
+    writes = []
+    dump(records, writes.append)
+    assert "".join(writes) == json.dumps(records, sort_keys=True, indent=2)
+    # one write per block of records, then the closing bracket
+    assert len(writes) == -(-count // _BLOCK_ROWS) + 1
+
+
+def test_writing_a_long_list_of_records_holds_about_one_block():
+    records = _records(20_000)
+    text = json.dumps(records, sort_keys=True, indent=2)
+    block_text = max(
+        len(json.dumps(records[start : start + _BLOCK_ROWS], sort_keys=True, indent=2))
+        for start in range(0, len(records), _BLOCK_ROWS)
+    )
+    writes = []
+    dump(records, writes.append)
+    assert "".join(writes) == text
+    assert max(map(len, writes)) <= block_text < len(text) / 20
+
+
 @pytest.mark.parametrize(
     "matrix",
     [

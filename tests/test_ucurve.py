@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -143,6 +144,60 @@ def test_deck_translate_float_positions():
     assert q.m == -1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_deck_translate_keeps_a_float_b_next_to_1_below_1(k):
+    # in doubles b + 1.0 rounds to 2.0 and b + 0.5 to 1.5: a wrap after the sum gives 1.0 or drops b's last bit
+    b = math.nextafter(1.0, 0.0)
+    q = deck_translate(SupercyclePoint(b=b, s=0j, u=1, m=0), k)
+    assert q.b == float(Fraction(b) + Fraction(1, k) - 1) and 0.0 <= q.b < 1.0
+    assert q.m == 1 - k
+    if k == 1:
+        assert q == SupercyclePoint(b=b, s=0j, u=1, m=0)
+
+
+def test_deck_translate_wraps_a_float_b_that_rounds_up_to_1():
+    # the double nearest 2/3 lies below it, and within 2^-54 of 1 once 1/3 is added,
+    # so the translate rounds to 1.0 and wraps to 0.0 with its branch
+    b = 2 / 3
+    assert Fraction(b) + Fraction(1, 3) < 1
+    assert float(Fraction(b) + Fraction(1, 3)) == 1.0
+    q = deck_translate(SupercyclePoint(b=b, s=0j, u=1, m=2), 3)
+    assert (q.b, q.m) == (0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("s", "0.5"), ("s", True), ("u", "1"), ("u", False), ("b", True), ("b", False), ("b", "0.5"), ("b", 0.5j)],
+)
+def test_a_point_takes_numbers_only(field, value):
+    fields = {"b": Fraction(1, 2), "s": 0j, "u": 1j, "m": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        SupercyclePoint(**fields)
+
+
+@pytest.mark.parametrize(
+    "u, s_window, tol",
+    [
+        ("1", (-2.0, 2.0), 1e-9),
+        (True, (-2.0, 2.0), 1e-9),
+        (1.0, ("-2", 2.0), 1e-9),
+        (1.0, (-2.0, True), 1e-9),
+        (1.0, (-2.0, 2.0), True),
+        (1.0, (-2.0, 2.0), "1e-9"),
+        ("1", (-2.0, 2.0), True),
+    ],
+)
+def test_trace_takes_numbers_only(u, s_window, tol):
+    with pytest.raises(ValueError, match="must be a number"):
+        trace_slice(1, u, s_window, 4, tol)
+
+
+def test_trace_takes_numbers_of_any_kind():
+    want = trace_slice(1, 1 + 0j, (-2.0, 2.0), 16, 1e-9)
+    assert trace_slice(1, 1, (Fraction(-2), 2), 16, Fraction(1, 10**9)) == want
+    assert want.points and all(isinstance(p, SupercyclePoint) for p in want.points)
+
+
 def test_dedup_keeps_points_separated():
     # a coarse tolerance forces neighboring branches into one another's
     # dedup window; survivors must stay 10*tol apart in s at equal b
@@ -233,6 +288,74 @@ def test_coarse_tolerance_dedups_the_exact_root_set(capsys, level, u):
     assert [(Fraction(p["b_exact"]), p["m"]) for p in doc["points"]] == [(b, m) for b, _, m in want]
     for p, (_, s, _) in zip(doc["points"], want):
         assert abs(p["s"][0] - s) < 1e-13 and p["s"][1] == 0.0
+
+
+# sha256 of the JSON and the CSV text of `bsq ucurve` on these flags: the six
+# slices of the benchmark's spectral workload, a coarse tolerance at which the
+# dedup drops points, and a window reaching further below s = 0 than above it
+PINNED_DOCUMENTS = {
+    ("--level", "3", "--u", "0.7"): (
+        "ccda00ab177b6b61d71a91270daa81fdaa7cb0fe4df33902e9ae8bc29f3f48c8",
+        "5c467eb5a2c8755b8bd5c51be06a81aa469122091bec89f3def049b7cb900304",
+    ),
+    ("--level", "3", "--u", "-0.7"): (
+        "42c664888c964c32a61f6a2919a544d4f5ed52ca8e1c81b50fc823467381074f",
+        "9d00c2e08fd87ed45872fec55b560e8bc176bd3755ef3bf981dfc47eb29aa93b",
+    ),
+    ("--level", "4", "--u", "-1.3"): (
+        "7f3b1fa679b27cc5fa84b4d8dbdcfaa83cdc2aa6325a50ee243aed58d0697d6e",
+        "92d59008e3cebd7dcf39ae8a93b63b4f3f116837dfa58f80dbaf561f92f3761d",
+    ),
+    ("--level", "5", "--u", "0.8"): (
+        "064e91b0671859871c932e297c9a2df7d1f458510b2fa97b3ecb74e5cd303ec1",
+        "76f38f7c111a78da5e57777b72664cdaf23671357b66208ab745730970d18970",
+    ),
+    ("--level", "4", "--u", "0.5,0.5"): (
+        "2d1fa47a559b9045f9405ab7696dd035ba413d1cce014e1911c35531e0721c7f",
+        "36efe617530713672951cb3d206d5da2e44a94a6549da932d3f75fa0a4afb8fc",
+    ),
+    ("--level", "6", "--u", "0"): (
+        "aced949ca0c7f08ac4ad6741818230954338cdea10b4b1338a0b89b03c5bd8ba",
+        "cd6d06a38a115fb5e5ded278d6fb25461de84bd779591fa4a98150c7616170bb",
+    ),
+    ("--level", "2", "--u", "-1.7", "--tol", "1e-3", "--grid", "5000"): (
+        "cdf7efe2d2b8ca2b6f254d1543f392738da3c258a85768d2eaf0ef82133f14eb",
+        "98608c0d0ca748a5eb9f7c5ec18aa7d8337f85f82927e3b880e6fa6b6092850e",
+    ),
+    ("--level", "7", "--u", "2.5,-0.3", "--s-min", "-5", "--s-max", "1"): (
+        "911409f419c1898b8a61f24e0144be5e09112d4521dd026d2842de21aee1a515",
+        "b6338911e8582c147a59c53d2d8fcd618e6938b4c9ab137815b7083beb356302",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("flags", PINNED_DOCUMENTS, ids=" ".join)
+def test_ucurve_documents_are_pinned_bit_for_bit(capsys, flags, fmt):
+    assert main(["ucurve", *flags, "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_DOCUMENTS[flags][fmt == "csv"]
+
+
+def test_the_pinned_coarse_slice_drops_points_in_the_dedup():
+    u, window, grid, tol = -1.7 + 0j, (-2.0, 2.0), 5000, 1e-3
+    assert len(trace_slice(2, u, window, grid, tol).points) < len(exact_root_set(2, u, window, grid, tol))
+
+
+def test_trace_orders_equal_doubles_of_b_as_the_dedup_rule_does():
+    # at grid = 2^54 the grid points next to 1 come closer than the doubles, so
+    # i / grid rounds to one double for two indices.  For u = i every s is 0 and
+    # the candidates are the (i, m) with |i - m*grid| < tol*grid.
+    grid, tol = 2**54, 1e-13
+    reach = Fraction(tol) * grid
+    first = grid - math.floor(reach)
+    assert first / grid == (first + 1) / grid  # the first index kept next to 1 shares its double
+    candidates = [(Fraction(i, grid), 0.0, 0) for i in range(math.ceil(reach))]
+    candidates += [(Fraction(i, grid), 0.0, 1) for i in range(first, grid)]
+    want = dedup_rule(candidates, tol)
+    slc = trace_slice(1, 1j, (-2.0, 2.0), grid, tol)
+    assert [(p.b, p.s, p.m) for p in slc.points] == [(b, complex(s), m) for b, s, m in want]
+    assert [p.b for p in slc.points] == [0, Fraction(first, grid)]
 
 
 def complex_u_configs(seed, n, large_re_u=False):
@@ -336,7 +459,7 @@ def test_trace_rejects_non_finite_arguments(u, s_window, tol):
 
 @pytest.mark.parametrize("u", [1e-300, 1e-160, complex(1e-162, 1e-162), 1e160, complex(1e155, -1e155), 1.79e308])
 def test_trace_rejects_u_whose_squared_modulus_is_not_a_normal_double(u):
-    # |u|^2 divides in _minimize_residual: below the normal range it rounds
+    # |u|^2 divides in the minimiser: below the normal range it rounds
     # towards 0.0, above it is inf, and the branch range grows like |u|
     with pytest.raises(ValueError, match="normal double range"):
         trace_slice(3, u, (-2.0, 2.0), 12, 1e-9)
