@@ -1,8 +1,8 @@
 """How the quantization dimension grows with genus and level.
 
 The headline object is a finite trigonometric sum that must come out an
-integer; verlinde_dim evaluates it in extended precision and certifies the
-rounding with an explicit error bound.
+integer; verlinde_dim evaluates it in extended precision, chosen from the
+sum's size, and certifies the rounding with an explicit error bound.
 """
 
 from bsq.verlinde import verlinde_dim
@@ -27,11 +27,10 @@ def main():
         print(f"  g={g} k={k:<3} dim={v.dim:<12} error_bound={v.error_bound:.3e}")
 
     print()
-    v64 = verlinde_dim(5, 12, prec=64)
-    v192 = verlinde_dim(5, 12, prec=192)
-    print("precision only tightens the certificate, never the integer:")
-    print(f"  64 bits:  dim={v64.dim}  bound={v64.error_bound:.3e}")
-    print(f"  192 bits: dim={v192.dim}  bound={v192.error_bound:.3e}")
+    print("the precision is chosen where 96 bits cannot certify the sum:")
+    for g, k in [(10, 50), (6, 200)]:
+        v = verlinde_dim(g, k)
+        print(f"  g={g:<2} k={k:<3} {v.precision} bits  bound={v.error_bound:.3e}")
 
 
 if __name__ == "__main__":

@@ -24,16 +24,24 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .jsontext import dump
+from .jsontext import _BLOCK_ROWS, dump
 from .theta import CancellationFailure, TruncationFailure, bpu_matrix
 from .trigraph import BUILTIN_GRAPHS, TrivalentGraph, bridges, generate_trivalent, graph_to_text, parse_graph_text
 from .ucurve import trace_slice, zero_level_fiber
-from .verlinde import IntegralityFailure, verlinde_dim, working_precision
+from .verlinde import IntegralityFailure, verlinde_dim
 from .weights import ShapeMismatch, _level_counts, count_admissible, enumerate_admissible
 
 
 class UsageError(Exception):
     """Bad parameters; reported on stderr with exit code 2, nothing emitted."""
+
+
+def _integer(text: str) -> int:
+    """An optional '-' then ASCII decimal digits; int() also takes '+', spaces, '_' and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
@@ -178,6 +186,15 @@ def _each_b(points, convert) -> list:
     return [done[id(point.b)] for point in points]
 
 
+def _csv_text(points):
+    """The CSV text of a slice's points: the header, then _BLOCK_ROWS lines per piece."""
+    yield "b,re_s,im_s,m\n"
+    bs = _each_b(points, lambda b: repr(float(b)))
+    for start in range(0, len(points), _BLOCK_ROWS):
+        block = zip(bs[start : start + _BLOCK_ROWS], points[start : start + _BLOCK_ROWS])
+        yield "".join([f"{b},{pt.s.real!r},{pt.s.imag!r},{pt.m}\n" for b, pt in block])
+
+
 def _cmd_ucurve(args: argparse.Namespace):
     _at_least("--level", args.level, 1)
     u = _parse_complex(args.u, "--u")
@@ -193,12 +210,7 @@ def _cmd_ucurve(args: argparse.Namespace):
     else:
         slc = trace_slice(k, u, (args.s_min, args.s_max), args.grid, args.tol)
     if args.format == "csv":
-        lines = ["b,re_s,im_s,m"]
-        lines.extend(
-            f"{b},{pt.s.real!r},{pt.s.imag!r},{pt.m}"
-            for b, pt in zip(_each_b(slc.points, lambda b: repr(float(b))), slc.points)
-        )
-        return "\n".join(lines) + "\n", 0
+        return _csv_text(slc.points), 0
     p = {"level": k, "u": [u.real, u.imag], "s_min": args.s_min, "s_max": args.s_max, "grid": args.grid,
          "tol": args.tol}
     points = [
@@ -212,10 +224,10 @@ def _cmd_ucurve(args: argparse.Namespace):
 def verify_jw(g: int, max_k: int, open_range: bool = False):
     """Compare count_admissible with verlinde_dim on every genus-g graph.
 
-    Returns (rows, all_match).  open_range restricts numerators to 0..k-1,
-    the deliberately broken variant kept as a negative control.  Each level's
-    dimension is certified at its own default precision, working_precision(g, k),
-    which grows with k, so the top level's is the most any level uses.
+    Returns (rows, all_match, precision).  open_range restricts numerators to
+    0..k-1, the deliberately broken variant kept as a negative control.  Each
+    level's dimension is certified at the precision verlinde_dim chooses for it,
+    which grows with k, so precision, the top level's, is the most any level uses.
     Each graph's counts come from one plan: its vertex order and edge
     bookkeeping are found once.  The counts go level by level: the vertex
     tables, shared by shape across the graphs, grow once before each level's
@@ -226,7 +238,8 @@ def verify_jw(g: int, max_k: int, open_range: bool = False):
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
     rows = []
     # the dimension depends on the genus and level, not on the graph
-    dims = [verlinde_dim(g, k).dim for k in range(1, max_k + 1)]
+    values = [verlinde_dim(g, k) for k in range(1, max_k + 1)]
+    dims = [value.dim for value in values]
     graphs = generate_trivalent(g)
     for index, (graph, counts) in enumerate(zip(graphs, _level_counts(graphs, max_k, open_range))):
         for k, (dim, count) in enumerate(zip(dims, counts), start=1):
@@ -240,19 +253,15 @@ def verify_jw(g: int, max_k: int, open_range: bool = False):
                     "match": count == dim,
                 }
             )
-    return rows, all(row["match"] for row in rows)
+    return rows, all(row["match"] for row in rows), values[-1].precision
 
 
 def _cmd_verify_jw(args: argparse.Namespace):
     _census_genus(args.genus)
     _at_least("--max-level", args.max_level, 1)
-    p = {
-        "genus": args.genus,
-        "max_level": args.max_level,
-        "open_weight_range": args.open_weight_range,
-        "precision": working_precision(args.genus, args.max_level),
-    }
-    rows, ok = verify_jw(args.genus, args.max_level, open_range=args.open_weight_range)
+    rows, ok, precision = verify_jw(args.genus, args.max_level, open_range=args.open_weight_range)
+    p = {"genus": args.genus, "max_level": args.max_level, "open_weight_range": args.open_weight_range,
+         "precision": precision}
     return _document(args, p, {"rows": rows, "all_match": ok}), 0 if ok else 1
 
 
@@ -263,16 +272,18 @@ def _report(subcommand: str, error: str, message: str) -> None:
 
 
 def _emit(document, write) -> None:
-    if type(document) is str:  # CSV text
-        write(document)
-    else:
+    if type(document) is dict:
         dump(document, write)
         write("\n")
+    else:  # CSV text, piece by piece
+        for piece in document:
+            write(piece)
 
 
 def run(args: argparse.Namespace) -> int:
     """Run a parsed command line: its handler checks the flags and builds the whole
-    document, then it is written out.
+    document, then it is written out; a CSV text is made a block of lines at a
+    time as it is written.
 
     Raises UsageError for bad flags, or when the document cannot be written to
     the --output path or to stdout.
@@ -319,40 +330,40 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("verlinde", help="certified dimension of the level-k quantization")
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--genus", type=_integer, required=True)
+    sp.add_argument("--level", type=_integer, required=True)
     add_common(sp, _cmd_verlinde)
 
     sp = sub.add_parser("graphs", help="trivalent graph classes for a genus")
-    sp.add_argument("--genus", type=int, required=True)
+    sp.add_argument("--genus", type=_integer, required=True)
     add_common(sp, _cmd_graphs)
 
     sp = sub.add_parser("weights", help="admissible weights on a graph")
     sp.add_argument("--graph", required=True, help="graph file, or builtin name theta2/dumbbell2")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_integer, required=True)
     sp.add_argument("--count-only", action="store_true")
     add_common(sp, _cmd_weights)
 
     sp = sub.add_parser("theta-basis", help="theta evaluation matrix at the BS points")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_integer, required=True)
     sp.add_argument("--tau", default="0,1", help="modular parameter as RE,IM (default 0,1)")
     sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--norm", type=float, default=1.0, help="half-form scaling constant")
     add_common(sp, _cmd_theta_basis)
 
     sp = sub.add_parser("ucurve", help="trace a u-curve slice (u=0 gives the zero fiber)")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_integer, required=True)
     sp.add_argument("--u", required=True, help="level parameter as RE,IM or RE")
     sp.add_argument("--s-min", type=float, default=-2.0)
     sp.add_argument("--s-max", type=float, default=2.0)
-    sp.add_argument("--grid", type=int, default=1000)
+    sp.add_argument("--grid", type=_integer, default=1000)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(sp, _cmd_ucurve)
 
     sp = sub.add_parser("verify-jw", help="weight counts against Verlinde dimensions")
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--max-level", type=int, required=True)
+    sp.add_argument("--genus", type=_integer, required=True)
+    sp.add_argument("--max-level", type=_integer, required=True)
     sp.add_argument(
         "--open-weight-range",
         action="store_true",

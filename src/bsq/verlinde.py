@@ -11,12 +11,12 @@ point, each as soon as it is made, and the total is rounded to prec bits
 once.  The sum holds one term at a time, so its memory does not grow with k.
 An explicit rounding-error budget of (8g + 8) * 2^-prec relative certifies
 that the nearest integer is the exact value.  The working precision prec is
-given by the caller (never below 64 bits) or, by default, chosen before the
-sum from a double-precision estimate of its size, in math alone and over the
-same folded half of the terms: the fewest bits, and at least 96, at which
-the budget certifies.  Either way the result records the precision it ran
-at.  If the certificate fails the computation raises instead of returning a
-non-integral answer.  No exact cyclotomic arithmetic is attempted here.
+chosen before the sum by working_precision, from a double-precision estimate
+of its size, in math alone and over the same folded half of the terms: the
+fewest bits, and at least 96, at which the budget certifies.  The result
+records the precision it ran at.  If the certificate fails the computation
+raises instead of returning a non-integral answer; tests reach that path by
+substituting the rule.  No exact cyclotomic arithmetic is attempted here.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ QuantizationLevel = int
 Genus = int
 
 DEFAULT_PRECISION = 96
-MIN_PRECISION = 64
 
 
 class IntegralityFailure(ArithmeticError):
@@ -80,16 +79,14 @@ def working_precision(g: Genus, k: QuantizationLevel) -> int:
     return max(DEFAULT_PRECISION, math.floor(need) + 1)
 
 
-def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> VerlindeValue:
+def verlinde_dim(g: Genus, k: QuantizationLevel) -> VerlindeValue:
     """Evaluate the dimension formula and certify integrality.
 
-    prec is the working precision in significand bits; by default it is
-    working_precision(g, k).  The returned error_bound is an absolute bound
-    on |raw_sum - exact value| derived from per-operation rounding budgets,
-    so dim = round(raw_sum) is certified whenever error_bound < 0.5, and
-    precision is the prec the sum ran at.  An explicit prec is used as given
-    and raises IntegralityFailure when it is too low; at the default one,
-    that failure is a defect of working_precision.
+    The working precision prec, in significand bits, is working_precision(g, k).
+    The returned error_bound is an absolute bound on |raw_sum - exact value|
+    derived from per-operation rounding budgets, so dim = round(raw_sum) is
+    certified whenever error_bound < 0.5, and precision is the prec the sum
+    ran at.  An IntegralityFailure is a defect of working_precision.
 
     Terms n and k+2-n are equal, so each of the k // 2 + 1 distinct terms
     is computed once and added, twice unless it is the middle one, to one
@@ -101,11 +98,7 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
     from mpmath.libmp import from_int, mpf_div, mpf_pow_int, mpf_sin_pi
 
     _check_genus_and_level(g, k)
-    chosen = prec is None
-    if chosen:
-        prec = working_precision(g, k)
-    if type(prec) is not int or prec < MIN_PRECISION:
-        raise ValueError(f"working precision must be an integer >= {MIN_PRECISION} bits, got {prec!r}")
+    prec = working_precision(g, k)
 
     kk = k + 2
     expo = 2 * g - 2
@@ -141,11 +134,8 @@ def verlinde_dim(g: Genus, k: QuantizationLevel, prec: int | None = None) -> Ver
         dim = int(nearest)
 
     if error_bound >= 0.5:
-        if chosen:
-            advice = f"working_precision chose too few bits for g={g}, k={k}, a defect to report"
-        else:
-            advice = "pass a larger prec"
-        raise IntegralityFailure(f"error bound {error_bound} >= 0.5 at g={g}, k={k}, prec={prec}; {advice}")
+        raise IntegralityFailure(f"error bound {error_bound} >= 0.5 at g={g}, k={k}, prec={prec}; "
+                                 f"working_precision chose too few bits for g={g}, k={k}, a defect to report")
     if delta > error_bound:
         raise IntegralityFailure(
             f"sum {mpmath.nstr(raw_sum, 25)} is {mpmath.nstr(delta, 5)} away from the nearest "

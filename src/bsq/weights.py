@@ -32,10 +32,11 @@ the multiplicity; at a vertex that opens nothing, a key has one multiplicity,
 so a state costs one lookup and one add there.
 A plan is split in two.  Its skeleton, the vertex order with each vertex's
 edge bookkeeping and the getters that take its keys and kept labels from a
-state, does not depend on the level.  Its tables grow with the level: a
-labelling enters its vertex's table at the least level that admits it, so a
-sweep over levels 1..K builds one skeleton and adds each level's labellings
-before that level's count, at about the cost of one level-K plan.  A single count or listing grows its tables to k in one step.
+state, does not depend on the level.  Its tables grow with the level: with
+labels up to the level, a labelling enters its vertex's table at the least
+level that admits it, so a sweep over levels 1..K builds one skeleton and adds
+each level's labellings before that level's count, at about the cost of one
+level-K plan.  A single count or listing grows its tables to k in one step.
 A vertex's table depends on its shape alone, not on the vertex: how many of
 its ends were labelled before, how many edges it labels and how many of those
 it opens.  There are six shapes, three ends with 0..3 labelled before and a
@@ -236,48 +237,38 @@ def _grow(store: _Store, lo: int, k: int, max_numerator: int, counting: bool = F
     it at a level in lo+1..k: to the counting tables when counting, else to
     the lists.  Each table is grown once, however many visits read it.
 
-    A labelling of a vertex's ends enters at the least level that admits it:
-    half the ends' sum h, and at least its largest label plus k - max_numerator
-    (the cap on the labels moves with the level).  So growing an empty plan
-    (lo = 0) to k writes the level-k plan, and growing that to k + 1 writes the
-    level-(k + 1) plan: each step adds the shells of h in lo+1..k, and where the
-    cap rose, the labellings of h <= lo whose largest label passed the old cap.
+    Precondition: lo = 0, or labels run up to the level (max_numerator = k).
+    A labelling of a vertex's ends then enters at half the ends' sum h, the
+    least level that admits it, so growing an empty plan (lo = 0) to k writes
+    the level-k plan, and growing the level-lo plan to k adds the shells of h
+    in lo+1..k.  Labels capped below the level would move the cap with it and
+    let labellings of h <= lo enter: such tables are written afresh from lo = 0.
     A shell is written from the fusion rule, not by filtering: the first end a
     runs over its values, the second b over the run that leaves the third,
-    2h - a - b, at most h (triangle) and the cap.  A bridge's label is left to
-    the other vertices' conditions, which make it even in every full weight.
-    At step 2 the tables hold the labellings whose labels are all even: the
-    first end runs in steps of 2, the second too from an even start, and a
-    loop's label is even (the end under it, 2h - 2l, always is).
+    2h - a - b, at most h (triangle) and max_numerator.  A bridge's label is
+    left to the other vertices' conditions, which make it even in every full
+    weight.  At step 2 the tables hold the labellings whose labels are all
+    even: the first end runs in steps of 2, the second too from an even start,
+    and a loop's label is even (the end under it, 2h - 2l, always is).
     """
-    cap = lo - k + max_numerator  # the largest label at level lo
-    # (h, floor): the labellings of ends summing to 2h whose largest label is above floor
-    shells = [(h, -1) for h in range(lo + 1 if lo else 0, k + 1)]
-    if lo:
-        shells += [(h, cap) for h in range(max(cap + 1, 0), lo + 1)]
+    shells = range(lo + 1 if lo else 0, k + 1)  # h, half the sum of the ends
     for ((n_old, n_new, opens), table_step), (passing, tally) in store.items():
         if table_step != step:
             continue
         entered = {} if counting else passing  # old labels -> the new labels that enter
-        for h, floor in shells:
+        for h in shells:
             if n_old + n_new == 2:  # ends (x, l, l), l the loop: x = 2h - 2l is even, and l >= x/2
                 x0 = max(0, 2 * (h - max_numerator))
                 for x in range(x0 + 2 * ((h - x0 // 2) % step), min(h, max_numerator) + 1, 2 * step):
                     ends = (x, h - x // 2)
-                    if max(ends) > floor:
-                        entered.setdefault(ends[:n_old], []).append(ends[n_old:])
+                    entered.setdefault(ends[:n_old], []).append(ends[n_old:])
                 continue
             for a in range(0, min(h, max_numerator) + 1, step):
                 rest = 2 * h - a  # b + c
-                lowest, highest = max(h - a, rest - max_numerator), min(h, max_numerator)
-                if a > floor:
-                    runs = ((lowest, highest),)
-                else:  # b or c must pass floor
-                    runs = (lowest, min(highest, rest - floor - 1)), (max(lowest, floor + 1, rest - floor), highest)
-                for start, end in runs:
-                    for b in range(start + start % step, end + 1, step):
-                        ends = (a, b, rest - b)
-                        entered.setdefault(ends[:n_old], []).append(ends[n_old:])
+                lowest = max(h - a, rest - max_numerator)
+                for b in range(lowest + lowest % step, min(h, max_numerator) + 1, step):
+                    ends = (a, b, rest - b)
+                    entered.setdefault(ends[:n_old], []).append(ends[n_old:])
         if counting:
             _tally(tally, opens, entered)
 
@@ -364,13 +355,18 @@ def _level_counts(graphs: Sequence[TrivalentGraph], max_k: int, open_range: bool
     to k, odd levels count the all-even labellings, on the even tables grown
     from the previous odd level, and even levels take every label, on the full
     tables grown from the previous even level; with labels below k, every
-    level takes every label."""
+    level takes every label, on tables written afresh at each level, since
+    the cap k - 1 moves with it."""
     skeletons = [_skeleton(graph) for graph in graphs]
     store, counts = {}, [[] for _ in graphs]
     plans = {step: [_on(skeleton, store, step) for skeleton in skeletons] for step in ((1,) if open_range else (1, 2))}
     grown = dict.fromkeys(plans, 0)  # the level that each step's tables have reached
     for k in range(1, max_k + 1):
         step = 1 if open_range or k % 2 == 0 else 2
+        if open_range:
+            for _, tally in store.values():
+                tally.clear()
+            grown[step] = 0
         _grow(store, grown[step], k, k - 1 if open_range else k, counting=True, step=step)
         grown[step] = k
         for graph, plan, row in zip(graphs, plans[step], counts):

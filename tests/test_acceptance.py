@@ -50,7 +50,7 @@ def test_weight_counts_equal_dimensions(capsys):
     assert verlinde_dim(3, 1).dim == 8
     # genus 4, all 17 classes, k = 1..6, and genus 5, all 71 classes, k = 1..2
     for g, max_k, classes in ((4, 6, 17), (5, 2, 71)):
-        rows, all_match = verify_jw(g, max_k)
+        rows, all_match, _ = verify_jw(g, max_k)
         assert all_match, [row for row in rows if not row["match"]]
         assert len(rows) == classes * max_k
     _pass(
@@ -181,7 +181,7 @@ def test_zero_fiber_and_deck_closure(capsys):
 
 
 def test_open_weight_range_negative_control(capsys):
-    rows, all_match = verify_jw(2, 1, open_range=True)
+    rows, all_match, _ = verify_jw(2, 1, open_range=True)
     assert all_match is False
     assert {(row["weight_count"], row["verlinde_dim"]) for row in rows} == {(1, 4)}
 

@@ -1,5 +1,6 @@
 import enum
 import errno
+import hashlib
 import io
 import json
 import os
@@ -76,6 +77,15 @@ def test_verify_jw_records_the_precision_of_its_top_level(capsys, genus, max_lev
     doc = run_json(capsys, "verify-jw", "--genus", str(genus), "--max-level", str(max_level))
     top = run_json(capsys, "verlinde", "--genus", str(genus), "--level", str(max_level))
     assert doc["parameters"]["precision"] == top["parameters"]["precision"]
+
+
+def test_verify_jw_records_the_precision_its_top_level_ran_at(capsys, monkeypatch):
+    # the precision is the one the top level's certificate reports, not chosen again
+    monkeypatch.setattr(bsq.verlinde, "working_precision", lambda g, k: 100 + k)
+    rows, ok, precision = bsq.cli.verify_jw(3, 6)
+    assert ok and precision == 106
+    doc = run_json(capsys, "verify-jw", "--genus", "3", "--max-level", "6")
+    assert doc["parameters"]["precision"] == 106
 
 
 def test_graphs_document(capsys):
@@ -220,6 +230,31 @@ def test_ucurve_zero_u_gives_the_fiber(capsys):
     assert [p["m"] for p in doc["points"]] == [0, 1, 2, 3]
 
 
+class _Writes(io.StringIO):
+    """A stdout that keeps the size, in lines, of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_ucurve_csv_writes_a_block_of_lines_at_a_time(monkeypatch):
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["ucurve", "--level", "4", "--u", "-1.3", "--grid", "5000", "--format", "csv"]) == 0
+    text = stdout.getvalue()
+    points = text.count("\n") - 1
+    assert text.startswith("b,re_s,im_s,m\n") and points > 20 * _BLOCK_ROWS
+    # the header, then one write per block of lines
+    assert stdout.lines == [1] + [_BLOCK_ROWS] * (points // _BLOCK_ROWS) + [points % _BLOCK_ROWS] * bool(
+        points % _BLOCK_ROWS
+    )
+
+
 def test_ucurve_csv_format(capsys):
     code, out, err = run_cli(
         capsys, "ucurve", "--level", "1", "--u", "1", "--grid", "8", "--format", "csv"
@@ -310,7 +345,7 @@ def test_verify_jw_rejects_other_genera(capsys):
 
 
 def test_verify_jw_holds_on_every_genus_4_class():
-    rows, ok = bsq.cli.verify_jw(4, 2)
+    rows, ok, _ = bsq.cli.verify_jw(4, 2)
     assert ok is True
     assert len(rows) == 17 * 2
     assert {row["graph_index"] for row in rows} == set(range(17))
@@ -321,7 +356,7 @@ def test_verify_jw_holds_on_every_genus_4_class():
 def test_verify_jw_rows_equal_the_counts_of_each_level(g, max_k, open_range):
     # one plan per class, grown level by level, counts what count_admissible
     # counts at each level, with labels up to k and up to k - 1
-    rows, _ = bsq.cli.verify_jw(g, max_k, open_range=open_range)
+    rows, _, _ = bsq.cli.verify_jw(g, max_k, open_range=open_range)
     graphs = generate_trivalent(g)
     assert [(row["graph_index"], row["level"]) for row in rows] == [
         (index, k) for index in range(len(graphs)) for k in range(1, max_k + 1)
@@ -342,10 +377,27 @@ def test_verify_jw_orders_the_vertices_of_each_class_once(monkeypatch):
         return least_key(*args)
 
     monkeypatch.setattr(bsq.weights, "_least_key", counted)
-    rows, ok = bsq.cli.verify_jw(3, 8)
+    rows, ok, _ = bsq.cli.verify_jw(3, 8)
     assert ok is True
     assert len(rows) == 5 * 8
     assert len(searches) == 5
+
+
+# sha256 of the stdout of `bsq verify-jw --open-weight-range` on these flags,
+# taken when its tables still grew level by level under a moving label cap
+PINNED_OPEN_RANGE = {
+    ("--genus", "2", "--max-level", "12"): "7dd8a07611ad33cec57a455f8c162ac9d39711782b6667d6bb5e4e2f9dd5b34e",
+    ("--genus", "3", "--max-level", "8"): "00d55a10d88bb3b1479d6977536a1f3a59e07319a3082500017791a45a7a8536",
+    ("--genus", "4", "--max-level", "5"): "8be243a413cfd6d5841fe467d8753c9a90aa088faed27c22fdfd702dffb23441",
+}
+
+
+@pytest.mark.parametrize("flags", PINNED_OPEN_RANGE, ids=" ".join)
+def test_open_range_documents_are_pinned_bit_for_bit(capsys, flags):
+    code, out, err = run_cli(capsys, "verify-jw", *flags, "--open-weight-range")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OPEN_RANGE[flags]
+    assert json.loads(err)["error"] == "VerificationMismatch"
 
 
 # every usage check, with its exact text; where a command line fails several,
@@ -391,6 +443,46 @@ def test_usage_error_text(capsys, tmp_path, name):
     (tmp_path / "bad.graph").write_text("v 2\ne 0 1\n")
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+# every integer flag, each in a command line whose other flags are valid
+INTEGER_FLAGS = {
+    "verlinde --genus": ("verlinde", "--genus", "{}", "--level", "3"),
+    "verlinde --level": ("verlinde", "--genus", "2", "--level", "{}"),
+    "graphs --genus": ("graphs", "--genus", "{}"),
+    "weights --level": ("weights", "--graph", "theta2", "--level", "{}"),
+    "theta-basis --level": ("theta-basis", "--level", "{}"),
+    "ucurve --level": ("ucurve", "--level", "{}", "--u", "0.7"),
+    "ucurve --grid": ("ucurve", "--level", "3", "--u", "0.7", "--grid", "{}"),
+    "verify-jw --genus": ("verify-jw", "--genus", "{}", "--max-level", "2"),
+    "verify-jw --max-level": ("verify-jw", "--genus", "2", "--max-level", "{}"),
+}
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "+3", " 3", "3 ", "", "-", "3.0", "\u00b3"])
+@pytest.mark.parametrize("name", INTEGER_FLAGS)
+def test_integer_flags_take_an_optional_minus_and_ascii_digits_only(capsys, name, text):
+    # int() would read '1_0' as 10, the Arabic-Indic three as 3, and take '+' and
+    # spaces; the command line is only parsed, so a value let through does not run
+    with pytest.raises(SystemExit) as exit_:
+        bsq.cli._build_parser().parse_args([a.format(text) for a in INTEGER_FLAGS[name]])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: argument {name.split()[1]}: invalid int value: {text!r}\n"), captured.err
+
+
+@pytest.mark.parametrize("name", INTEGER_FLAGS)
+def test_a_negative_integer_flag_reaches_its_range_check(capsys, name):
+    code, out, err = run_cli(capsys, *(a.format("-1") for a in INTEGER_FLAGS[name]))
+    flag = name.split()[1]
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be >= ") and err.endswith(", got -1\n"), err
+
+
+def test_integer_flags_read_leading_zeros_as_decimals(capsys):
+    _, padded, _ = run_cli(capsys, "verlinde", "--genus", "02", "--level", "010")
+    _, plain, _ = run_cli(capsys, "verlinde", "--genus", "2", "--level", "10")
+    assert padded == plain and json.loads(plain)["parameters"]["level"] == 10
 
 
 @pytest.mark.parametrize("eps", ["1e-320", "5e-324"])

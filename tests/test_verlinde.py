@@ -72,10 +72,17 @@ def test_raw_sum_monotone_in_level():
             previous = current
 
 
+def _verlinde_at(monkeypatch, g, k, prec):
+    """verlinde_dim(g, k) run at prec bits, with the precision rule substituted."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bsq.verlinde, "working_precision", lambda g, k: prec)
+        return verlinde_dim(g, k)
+
+
 @pytest.mark.parametrize("g, k", [(2, 3), (3, 5), (4, 8), (5, 12)])
-def test_doubled_precision_gives_same_dim(g, k):
-    base = verlinde_dim(g, k, prec=DEFAULT_PRECISION)
-    doubled = verlinde_dim(g, k, prec=2 * DEFAULT_PRECISION)
+def test_doubled_precision_gives_same_dim(monkeypatch, g, k):
+    base = _verlinde_at(monkeypatch, g, k, DEFAULT_PRECISION)
+    doubled = _verlinde_at(monkeypatch, g, k, 2 * DEFAULT_PRECISION)
     assert base.dim == doubled.dim
     assert doubled.error_bound < base.error_bound
 
@@ -86,17 +93,11 @@ def test_rejects_bad_genus_or_level(g, k):
         verlinde_dim(g, k)
 
 
-def test_rejects_precision_below_floor():
-    with pytest.raises(ValueError):
-        verlinde_dim(2, 2, prec=32)
-
-
-def test_integrality_failure_when_bound_blows_up():
+def test_integrality_failure_when_bound_blows_up(monkeypatch):
     # at 64 bits the certified error for this genus tops 0.5 long before
-    # the sum loses integrality, and the call must refuse rather than round;
-    # an explicit precision is the caller's to raise
-    with pytest.raises(IntegralityFailure, match=r"g=50, k=24, prec=64; pass a larger prec$"):
-        verlinde_dim(50, 24, prec=64)
+    # the sum loses integrality, and the call must refuse rather than round
+    with pytest.raises(IntegralityFailure, match=r"^error bound \S+ >= 0\.5 at g=50, k=24, prec=64; "):
+        _verlinde_at(monkeypatch, 50, 24, 64)
 
 
 def test_a_default_precision_that_fails_is_reported_as_a_defect(monkeypatch):
@@ -107,20 +108,20 @@ def test_a_default_precision_that_fails_is_reported_as_a_defect(monkeypatch):
 
 
 @pytest.mark.parametrize("g", range(1, 11))
-def test_the_value_records_the_precision_it_ran_at(g):
+def test_the_value_records_the_precision_it_ran_at(monkeypatch, g):
     for k in (1, 2, 7, 12, 50, 200, 1106):
         bits = working_precision(g, k)
         assert verlinde_dim(g, k).precision == bits, (g, k)
-        assert verlinde_dim(g, k, prec=bits + 17).precision == bits + 17, (g, k)
+        assert _verlinde_at(monkeypatch, g, k, bits + 17).precision == bits + 17, (g, k)
     assert verlinde_dim(10, 50).precision == 124
     assert verlinde_dim(6, 200).precision == 102
 
 
-def test_default_precision_is_96_exactly_where_96_bits_certify():
+def test_default_precision_is_96_exactly_where_96_bits_certify(monkeypatch):
     for g in range(1, 13):
         for k in (1, 2, 3, 5, 8, 13, 21, 34, 50, 89, 144, 200):
             try:
-                verlinde_dim(g, k, prec=DEFAULT_PRECISION)
+                _verlinde_at(monkeypatch, g, k, DEFAULT_PRECISION)
                 certifies = True
             except IntegralityFailure:
                 certifies = False
@@ -133,13 +134,13 @@ def test_default_precision_is_96_exactly_where_96_bits_certify():
     "g, k, bits",
     [(10, 50, 124), (6, 200, 102), (15, 1630, 397), (6, 1106, 138), (6, 2214, 153), (6, 552, 124)],
 )
-def test_default_precision_certifies_beyond_96_bits(g, k, bits):
+def test_default_precision_certifies_beyond_96_bits(monkeypatch, g, k, bits):
     with pytest.raises(IntegralityFailure):
-        verlinde_dim(g, k, prec=DEFAULT_PRECISION)  # an explicit precision is used as given
+        _verlinde_at(monkeypatch, g, k, DEFAULT_PRECISION)
     assert working_precision(g, k) == bits
     value = verlinde_dim(g, k)
     assert value.error_bound < 0.5
-    assert value.dim == verlinde_dim(g, k, prec=2 * bits).dim
+    assert value.dim == _verlinde_at(monkeypatch, g, k, 2 * bits).dim
 
 
 def test_default_precision_matches_the_fusion_rule_dimension():
@@ -192,15 +193,15 @@ def _differential_grid():
 # summation code with the exact integer sum of bsq.verlinde; rounded once, the
 # exact sum gives the same raw_sum bit for bit.
 @pytest.mark.parametrize("g, k", _differential_grid())
-def test_integer_sum_matches_the_mpf_loop_bit_for_bit(g, k):
+def test_integer_sum_matches_the_mpf_loop_bit_for_bit(monkeypatch, g, k):
     for prec in sorted({64, 96, working_precision(g, k), 200}):
         try:
             expected = oracle_verlinde_dim(g, k, prec)
         except IntegralityFailure:
             with pytest.raises(IntegralityFailure):
-                verlinde_dim(g, k, prec=prec)
+                _verlinde_at(monkeypatch, g, k, prec)
             continue
-        value = verlinde_dim(g, k, prec=prec)
+        value = _verlinde_at(monkeypatch, g, k, prec)
         assert value.raw_sum._mpf_ == expected[1]._mpf_, (g, k, prec)
         assert (value.dim, value.error_bound) == (expected[0], expected[2]), (g, k, prec)
 

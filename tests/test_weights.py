@@ -304,10 +304,24 @@ def _shared_plans(g, rng, step=1):
     return store, classes
 
 
+def _grow_to(store, k, open_range, counting=False):
+    """Grow the lists, and the counting tables too when counting, to level k as
+    verify_jw grows them: from level k - 1 with labels up to k, and afresh
+    from 0 with labels below k, whose cap moves with the level."""
+    if open_range:
+        for passing, tally in store.values():
+            passing.clear()
+            tally.clear()
+    lo, max_numerator = (0, k - 1) if open_range else (k - 1, k)
+    weights_module._grow(store, lo, k, max_numerator)
+    if counting:
+        weights_module._grow(store, lo, k, max_numerator, counting=True)
+
+
 @pytest.mark.parametrize("open_range", [False, True])
 def test_grown_plan_tables_match_the_exhaustive_vertex_filter_at_every_level(open_range):
     # one skeleton per class on tables shared by shape across the classes of a
-    # genus, grown a level at a time as verify_jw sweeps them: each level's
+    # genus, grown level by level as verify_jw sweeps them: each level's
     # tables are, at every vertex of every class, that level's plan, with no
     # labelling twice
     rng = random.Random(100 + open_range)
@@ -315,7 +329,7 @@ def test_grown_plan_tables_match_the_exhaustive_vertex_filter_at_every_level(ope
         store, classes = _shared_plans(g, rng)
         for k in range(1, max_k + 1):
             max_numerator = k - 1 if open_range else k
-            weights_module._grow(store, k - 1, k, max_numerator)
+            _grow_to(store, k, open_range)
             for relabelled, order, plan in classes:
                 for v, visit in zip(order, plan):
                     expected = _oracles.oracle_vertex_table(
@@ -377,19 +391,24 @@ def test_counts_equal_the_oracle_on_every_class_up_to_level_6(g, open_range):
 @pytest.mark.parametrize("open_range", [False, True])
 def test_counting_tables_tally_the_lists_at_every_level(open_range):
     # for each key, the distinct labellings of the opened edges in its list, each
-    # with the number of list entries it stands for; grown a level at a time, as
+    # with the number of list entries it stands for; grown level by level, as
     # verify_jw grows them.  Only a loop's labels make a multiplicity above 1.
+    # The lists are checked against the exhaustive filter, so that lists and
+    # tallies wrong in the same way do not pass.
     rng = random.Random(200 + open_range)
     looped_above_one = set()
     for g, max_k in ((2, 8), (3, 6), (4, 4)):
         store, classes = _shared_plans(g, rng)
         for k in range(1, max_k + 1):
             max_numerator = k - 1 if open_range else k
-            weights_module._grow(store, k - 1, k, max_numerator)
-            weights_module._grow(store, k - 1, k, max_numerator, counting=True)
-            for relabelled, _, plan in classes:
+            _grow_to(store, k, open_range, counting=True)
+            for relabelled, order, plan in classes:
                 looped = any(a == b for a, b in relabelled.edges)
-                for visit in plan:
+                for v, visit in zip(order, plan):
+                    expected = _oracles.oracle_vertex_table(
+                        relabelled.vertex_count, relabelled.edges, k, max_numerator, v, visit.old, visit.new
+                    )
+                    assert {key: sorted(new) for key, new in visit.passing.items()} == expected, (relabelled.edges, k)
                     assert visit.tally.keys() == visit.passing.keys()
                     for key, new_labels in visit.passing.items():
                         row = visit.tally[key]
@@ -603,7 +622,7 @@ def test_odd_levels_sweep_the_even_labels_alone(monkeypatch):
     count_admissible(THETA_GRAPH, 3, 2)
     assert even_only == [False, False]
     even_only.clear()
-    rows, ok = verify_jw(3, 6)
+    rows, ok, _ = verify_jw(3, 6)
     assert ok
     # level by level, each level's sweeps over the five classes
     levels = [even_only[5 * k - 5:5 * k] for k in range(1, 7)]
@@ -612,7 +631,7 @@ def test_odd_levels_sweep_the_even_labels_alone(monkeypatch):
 
 def test_the_open_range_keeps_the_full_sweep_and_its_mismatch(monkeypatch):
     even_only = _watching_sweeps(monkeypatch)
-    rows, ok = verify_jw(3, 5, open_range=True)
+    rows, ok, _ = verify_jw(3, 5, open_range=True)
     assert not ok and not any(row["match"] for row in rows)
     # at k = 1 the labels are all 0; above it, every level reads odd ones
     assert [all(even_only[5 * k - 5:5 * k]) for k in range(1, 6)] == [True] + [False] * 4
@@ -645,3 +664,17 @@ def test_verify_jw_grows_each_shape_table_once_per_level(monkeypatch):
                 passing, tally = store[visit.shape, step]
                 assert visit.passing is passing and visit.tally is tally
     assert len(store) == 12
+
+
+def test_the_open_range_writes_its_tables_afresh_at_each_level(monkeypatch):
+    # with labels below k the cap k - 1 moves with the level, so each level's
+    # counting tables are cleared and written from level 0
+    grown, grow = [], weights_module._grow
+
+    def recorded(store, lo, k, max_numerator, counting=False, step=1):
+        grown.append((lo, k, max_numerator, counting, step, any(tally for _, tally in store.values())))
+        grow(store, lo, k, max_numerator, counting, step)
+
+    monkeypatch.setattr(weights_module, "_grow", recorded)
+    verify_jw(3, 5, open_range=True)
+    assert grown == [(0, k, k - 1, True, 1, False) for k in range(1, 6)]
