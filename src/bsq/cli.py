@@ -161,11 +161,11 @@ def _cmd_theta_basis(args: argparse.Namespace):
     if not tau.imag > 0:
         raise UsageError(f"--tau must have positive imaginary part, got {args.tau}")
     _positive_finite("--eps", args.eps)
-    _positive_finite("--norm", args.norm)
     import mpmath
 
-    p = {"level": args.level, "tau": [tau.real, tau.imag], "eps": args.eps, "norm": args.norm}
-    matrix = bpu_matrix(args.level, tau=tau, eps=args.eps, norm=args.norm)
+    # the half-form normalization is a positive scalar that adds nothing to the basis: always 1
+    p = {"level": args.level, "tau": [tau.real, tau.imag], "eps": args.eps, "norm": 1.0}
+    matrix = bpu_matrix(args.level, tau=tau, eps=args.eps)
     log_det = matrix.log_abs_determinant()
     body = {
         "entries": matrix.entries,
@@ -238,10 +238,11 @@ def verify_jw(g: int, max_k: int, open_range: bool = False):
         raise ValueError(f"max level must be an integer >= 1, got {max_k!r}")
     rows = []
     # the dimension depends on the genus and level, not on the graph
-    values = [verlinde_dim(g, k) for k in range(1, max_k + 1)]
+    levels = range(1, max_k + 1)
+    values = [verlinde_dim(g, k) for k in levels]
     dims = [value.dim for value in values]
     graphs = generate_trivalent(g)
-    for index, (graph, counts) in enumerate(zip(graphs, _level_counts(graphs, max_k, open_range))):
+    for index, (graph, counts) in enumerate(zip(graphs, _level_counts(graphs, levels, 1 if open_range else 0))):
         for k, (dim, count) in enumerate(zip(dims, counts), start=1):
             rows.append(
                 {
@@ -348,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", type=_integer, required=True)
     sp.add_argument("--tau", default="0,1", help="modular parameter as RE,IM (default 0,1)")
     sp.add_argument("--eps", type=float, default=1e-12)
-    sp.add_argument("--norm", type=float, default=1.0, help="half-form scaling constant")
     add_common(sp, _cmd_theta_basis)
 
     sp = sub.add_parser("ucurve", help="trace a u-curve slice (u=0 gives the zero fiber)")

@@ -24,15 +24,12 @@ from k of about 900 on.  The smallest singular value and the determinant's
 modulus are taken from these logarithms.  Near the real axis the terms of
 S_j can cancel to far below one rounding of their sum; bpu_matrix then
 raises CancellationFailure rather than return a null with no certain bit.
-The optional half-form normalization is a single positive scalar in this
-model.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -138,10 +135,10 @@ def theta_value(ch: ThetaCharacteristic, z: complex, tau=1j, eps: float = DEFAUL
 
 @dataclass(frozen=True)
 class ThetaBasisMatrix:
-    """Square evaluation matrix M[j][l] = norm * theta_{j/k}(b_l) = norm * c_j * omega^(j*l).
+    """Square evaluation matrix M[j][l] = theta_{j/k}(b_l) = c_j * omega^(j*l).
 
-    log_moduli[j] = ln|norm * c_j| stays exact where |norm * c_j| is too small
-    for a double and row j of the entries is subnormal or 0.0.
+    log_moduli[j] = ln|c_j| stays exact where |c_j| is too small for a double
+    and row j of the entries is subnormal or 0.0.
     """
 
     k: int
@@ -149,27 +146,26 @@ class ThetaBasisMatrix:
     log_moduli: np.ndarray = field(repr=False)
     tau: complex
     eps: float
-    norm_constant: float = 1.0
 
     @property
     def nulls(self) -> np.ndarray:
-        """The scaled theta-nulls norm * c_j: column b_0 = 0 of the matrix."""
+        """The theta-nulls c_j: column b_0 = 0 of the matrix."""
         return self.entries[:, 0]
 
     def smallest_singular_value(self) -> float:
-        """sqrt(k) * min_j |norm * c_j|, exact because F / sqrt(k) is unitary."""
+        """sqrt(k) * min_j |c_j|, exact because F / sqrt(k) is unitary."""
         return math.sqrt(self.k) * float(abs(self.nulls).min())
 
     def log_smallest_singular_value(self) -> float:
-        """Natural log of the smallest singular value, 0.5 * ln k + min_j ln|norm * c_j|."""
+        """Natural log of the smallest singular value, 0.5 * ln k + min_j ln|c_j|."""
         return 0.5 * math.log(self.k) + float(self.log_moduli.min())
 
     def log_abs_determinant(self) -> float:
-        """Natural log of |det M| = k^(k/2) * prod_j |norm * c_j|, as a sum of logarithms."""
+        """Natural log of |det M| = k^(k/2) * prod_j |c_j|, as a sum of logarithms."""
         return 0.5 * self.k * math.log(self.k) + math.fsum(self.log_moduli)
 
     def determinant(self) -> complex:
-        """det M = det F * prod_j norm * c_j, with det F = k^(k/2) * i^((k(k-1)/2 + (k-1)^2) mod 4).
+        """det M = det F * prod_j c_j, with det F = k^(k/2) * i^((k(k-1)/2 + (k-1)^2) mod 4).
 
         A plain complex number, so it underflows or overflows for large k;
         log_abs_determinant does not.
@@ -202,67 +198,54 @@ def _check_cancellation(k: int, tau: complex, window: int, sizes: np.ndarray, mo
         )
 
 
-def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS, norm: float = 1.0) -> ThetaBasisMatrix:
+def bpu_matrix(k: int, tau=1j, eps: float = DEFAULT_EPS) -> ThetaBasisMatrix:
     """Evaluate every characteristic at every Bohr-Sommerfeld point.
 
     Row index = characteristic j/k, column index = point b_l; entry (j, l)
-    is norm * c_j * omega^(j*l).  The nulls are one centred sum: for every
+    is c_j * omega^(j*l).  The nulls are one centred sum: for every
     class j + kZ at once, S_j = sum_{|n| <= N} exp(pi*i*tau*n*(2*m0 + n*k)),
     one length-k vector per offset n, with N the window of w = 1, z = 0,
     which covers every class.  Classes j and k - j have opposite m0, which
     only swaps the two terms added per offset, so c_{k-j} == c_j bit for bit.
     F is taken from the k powers omega^m at m = j*l mod k, so row j of the
-    entries is k/gcd(j, k)-periodic bit for bit.  Raises ValueError when an
-    entry is not finite, and CancellationFailure when a sum S_j is within its
-    rounding bound, (2N + 4 + max|exponent|) * 2^-53 * sum |terms|, with the
-    sizes sum |terms| added up in the loop that sums the S_j.
+    entries is k/gcd(j, k)-periodic bit for bit.  Raises ValueError when tau
+    puts an exponent beyond the double range, and CancellationFailure when a
+    sum S_j is within its rounding bound, (2N + 4 + max|exponent|) * 2^-53 *
+    sum |terms|, with the sizes sum |terms| added up in the loop that sums
+    the S_j.
     """
     import numpy as np
 
     k = _level(k)
     tau = _tau_value(tau)
-    norm = float(norm)
-    if not norm > 0:
-        raise ValueError(f"normalization must be positive, got {norm}")
     j = np.arange(k)
     m0 = j - k * (2 * j >= k)
     phase = 1j * math.pi * tau
     window = _window(k, 1.0, 0j, tau, eps)
     sums = np.ones(k, dtype=complex)
     sizes = np.ones(k)
-    for n in range(1, window + 1):
-        up = np.exp(phase * (n * (n * k + 2 * m0)))
-        down = np.exp(phase * (n * (n * k - 2 * m0)))
-        sums += up + down
-        sizes += np.abs(up) + np.abs(down)
+    # an exponent beyond the double range makes a NaN in the sums or the
+    # centres: one error below, not a numpy warning at each step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, window + 1):
+            up = np.exp(phase * (n * (n * k + 2 * m0)))
+            down = np.exp(phase * (n * (n * k - 2 * m0)))
+            sums += up + down
+            sizes += np.abs(up) + np.abs(down)
+        centre = phase * (m0 * m0) / k
+    if not (np.isfinite(sums).all() and np.isfinite(centre).all()):
+        raise ValueError(
+            f"the exponents of the theta-null sums leave the double range (k={k}, tau={tau})"
+        )
     moduli = np.abs(sums)
     _check_cancellation(k, tau, window, sizes, moduli)
-    centre = phase * (m0 * m0) / k
-    log_moduli = math.log(norm) + centre.real + np.log(moduli)
+    log_moduli = centre.real + np.log(moduli)
     nulls = np.exp(centre) * sums
     powers = np.exp(2j * np.pi * j / k)
-    # a null below the normal range has lost bits that a norm above 1 would
-    # bring back into range, so those rows are taken from exp(ln norm + ...)
-    low = np.abs(nulls) < sys.float_info.min
-    # each block of rows is written in place.  The operand order of the complex
-    # multiply by norm decides the sign of an underflowed zero, so it is the
-    # product times norm, at every level
+    # each block of rows is written in place
     entries = np.empty((k, k), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // k)
-    with np.errstate(over="ignore"):
-        for top in range(0, k, step):
-            rows = slice(top, top + step)
-            dft = powers[np.outer(j[rows], j) % k]
-            block = entries[rows]
-            np.multiply(nulls[rows, None], dft, out=block)
-            block *= norm
-            lows = low[rows]
-            if lows.any():
-                scaled = np.exp(math.log(norm) + centre[rows][lows]) * sums[rows][lows]
-                block[lows] = scaled[:, None] * dft[lows]
-    if not np.isfinite(entries).all():
-        raise ValueError(
-            f"norm = {norm} puts matrix entries beyond the double range "
-            f"(k={k}, tau={tau}, largest ln|norm * c_j| = {log_moduli.max():.6g})"
-        )
-    return ThetaBasisMatrix(k=k, entries=entries, log_moduli=log_moduli, tau=tau, eps=eps, norm_constant=norm)
+    for top in range(0, k, step):
+        rows = slice(top, top + step)
+        np.multiply(nulls[rows, None], powers[np.outer(j[rows], j) % k], out=entries[rows])
+    return ThetaBasisMatrix(k=k, entries=entries, log_moduli=log_moduli, tau=tau, eps=eps)

@@ -286,14 +286,13 @@ def _tally(tally: dict, opens: int, entered: dict[tuple[int, ...], list[tuple[in
             row[opened] = row.get(opened, 0) + 1
 
 
-def _plan(graph: TrivalentGraph, k: int, max_numerator: int, counting: bool = False, step: int = 1) -> list[_Visit]:
-    """The level-k plan: a table per vertex shape from the labels of its ends
-    labelled before to every labelling of its new edges that passes conditions
-    1-3 there, labels in steps of step, as counting tables when counting, else
-    as lists."""
+def _plan(graph: TrivalentGraph, k: int, max_numerator: int) -> list[_Visit]:
+    """The level-k plan of a listing: a table per vertex shape from the labels
+    of its ends labelled before to the list of every labelling of its new
+    edges that passes conditions 1-3 there."""
     store = {}
-    plan = _on(_skeleton(graph), store, step)
-    _grow(store, 0, k, max_numerator, counting, step)
+    plan = _on(_skeleton(graph), store)
+    _grow(store, 0, k, max_numerator)
     return plan
 
 
@@ -339,35 +338,35 @@ def enumerate_admissible(graph: TrivalentGraph, k: int, max_numerator: int | Non
 
 
 def count_admissible(graph: TrivalentGraph, k: int, max_numerator: int | None = None) -> int:
-    """Number of admissible weights, counted without materializing them: at odd
-    k with labels up to k (none above k can occur), 2^g times the all-even ones."""
-    max_numerator = _check_enum_args(k, max_numerator)
-    if k % 2 and max_numerator >= k:
-        return _sweep(_plan(graph, k, max_numerator, counting=True, step=2)) << graph.genus
-    return _sweep(_plan(graph, k, max_numerator, counting=True))
+    """Number of admissible weights, counted without materializing them: the
+    one count of _level_counts at level k.  No label above k passes
+    conditions 2 and 3 together, so a cap above k counts as k."""
+    gap = max(k - _check_enum_args(k, max_numerator), 0)
+    return _level_counts([graph], [k], gap)[0][0]
 
 
-def _level_counts(graphs: Sequence[TrivalentGraph], max_k: int, open_range: bool) -> list[list[int]]:
-    """count_admissible(graph, k, k - 1 if open_range else k) for k = 1..max_k,
-    one list per graph, from one skeleton per graph whose counting tables come
-    from one store that every graph shares.  Level by level, the tables that
-    level reads grow once, then every graph's plan is swept.  With labels up
-    to k, odd levels count the all-even labellings, on the even tables grown
-    from the previous odd level, and even levels take every label, on the full
-    tables grown from the previous even level; with labels below k, every
-    level takes every label, on tables written afresh at each level, since
-    the cap k - 1 moves with it."""
+def _level_counts(graphs: Sequence[TrivalentGraph], levels: Sequence[int], gap: int) -> list[list[int]]:
+    """count_admissible(graph, k, k - gap) for each k of levels, in increasing
+    order, one list per graph, from one skeleton per graph whose counting
+    tables come from one store that every graph shares.  Level by level, the
+    tables that level reads grow once, then every graph's plan is swept.  With
+    labels up to k (gap 0), odd levels count the all-even labellings, on the
+    even tables grown from the previous odd level, times 2^g, and even levels
+    take every label, on the full tables grown from the previous even level;
+    with labels below k, every level takes every label, on tables written
+    afresh at each level, since the cap k - gap moves with it."""
+    steps = [1 if gap or k % 2 == 0 else 2 for k in levels]
     skeletons = [_skeleton(graph) for graph in graphs]
     store, counts = {}, [[] for _ in graphs]
-    plans = {step: [_on(skeleton, store, step) for skeleton in skeletons] for step in ((1,) if open_range else (1, 2))}
+    # every plan the levels read takes its tables from the store before the first grow fills them
+    plans = {step: [_on(skeleton, store, step) for skeleton in skeletons] for step in sorted(set(steps))}
     grown = dict.fromkeys(plans, 0)  # the level that each step's tables have reached
-    for k in range(1, max_k + 1):
-        step = 1 if open_range or k % 2 == 0 else 2
-        if open_range:
+    for k, step in zip(levels, steps):
+        if gap:
             for _, tally in store.values():
                 tally.clear()
             grown[step] = 0
-        _grow(store, grown[step], k, k - 1 if open_range else k, counting=True, step=step)
+        _grow(store, grown[step], k, k - gap, counting=True, step=step)
         grown[step] = k
         for graph, plan, row in zip(graphs, plans[step], counts):
             row.append(_sweep(plan) << (graph.genus if step == 2 else 0))

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -416,9 +417,7 @@ USAGE_ERRORS = {
                   "--tau must look like 'RE,IM' or 'RE' with finite parts, got 'garbage'"),
     "theta tau half-plane": (("theta-basis", "--level", "2", "--tau", "0,-1", "--eps", "0"),
                              "--tau must have positive imaginary part, got 0,-1"),
-    "theta eps": (("theta-basis", "--level", "2", "--eps", "0", "--norm", "0"),
-                  "--eps must be positive and finite, got 0.0"),
-    "theta norm": (("theta-basis", "--level", "2", "--norm", "-1"), "--norm must be positive and finite, got -1.0"),
+    "theta eps": (("theta-basis", "--level", "2", "--eps", "0"), "--eps must be positive and finite, got 0.0"),
     "ucurve level": (("ucurve", "--level", "0", "--u", "x"), "--level must be >= 1, got 0"),
     "ucurve u": (("ucurve", "--level", "1", "--u", "x", "--s-max", "inf"),
                  "--u must look like 'RE,IM' or 'RE' with finite parts, got 'x'"),
@@ -569,7 +568,7 @@ def test_running_out_of_memory_on_valid_parameters_is_a_domain_error(capsys, mon
     "argv",
     [
         ("theta-basis", "--level", "2", "--tau", "0,1e-18"),
-        ("theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.79e308"),
+        ("theta-basis", "--level", "3", "--tau", "1e308,1"),
         ("verify-jw", "--genus", "2", "--max-level", "1", "--open-weight-range"),
     ],
 )
@@ -611,7 +610,7 @@ def test_one_process_answers_each_call_as_a_fresh_one(capsys):
     sequence = [
         ["verlinde"],
         ["--version"],
-        ["theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.79e308"],
+        ["theta-basis", "--level", "3", "--tau", "1e308,1"],
         ["ucurve", "--level", "3", "--u", "0.7", "--grid", "20"],
         ["ucurve", "--level", "3", "--u", "0.7", "--grid", "1"],
         ["verlinde"],
@@ -679,44 +678,27 @@ def test_console_script():
     assert json.loads(proc.stdout)["count"] == 5
 
 
-def test_theta_basis_smallest_singular_value_beyond_the_double_range(capsys):
-    code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1e308")
-    assert code == 0, err
-    assert "Infinity" not in out
-    doc = json.loads(out)
-    nulls = bpu_matrix(8, tau=0.3 + 0.1j).nulls
-    with mpmath.workprec(80):
-        expected = mpmath.sqrt(8) * mpmath.mpf(1e308) * min(mpmath.mpf(abs(c)) for c in nulls.tolist())
-        assert isinstance(doc["smallest_singular_value"], str)
-        assert abs(mpmath.mpf(doc["smallest_singular_value"]) / expected - 1) < 1e-13
+@pytest.mark.parametrize("tau, shown", [("1e308,1", "(1e+308+1j)"), ("5e307,1", "(5e+307+1j)"), ("0,1e308", "1e+308j")])
+@pytest.mark.parametrize("k", ["1", "3", "8"])
+def test_theta_basis_tau_whose_exponents_overflow_is_one_json_error(capsys, k, tau, shown):
+    # the NaN it would make passes the cancellation bound, so it is caught before;
+    # numpy's warnings on the way would be written to stderr before the error object
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "theta-basis", "--level", k, "--tau", tau)
+    assert (code, out) == (1, "")
+    assert "Warning" not in err
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"the exponents of the theta-null sums leave the double range (k={k}, tau={shown})",
+        "subcommand": "theta-basis",
+        "tool_version": __version__,
+    }
 
 
-def test_theta_basis_det_modulus_stays_finite_for_a_huge_norm(capsys):
-    code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.7e308")
-    assert code == 0, err
-    assert "Infinity" not in out
-    doc = json.loads(out)
-    log_det = bpu_matrix(8, tau=0.3 + 0.1j).log_abs_determinant()
-    with mpmath.workprec(80):
-        expected = mpmath.mpf(1.7e308) ** 8 * mpmath.exp(log_det)
-        assert isinstance(doc["det_modulus"], str)
-        assert abs(mpmath.mpf(doc["det_modulus"]) / expected - 1) < 1e-12
-
-
-def test_theta_basis_entries_beyond_the_double_range_are_a_domain_error(capsys):
-    code, out, err = run_cli(capsys, "theta-basis", "--level", "8", "--tau", "0.3,0.1", "--norm", "1.79e308")
-    assert code == 1
-    assert out == ""
-    error = json.loads(err)
-    assert error["error"] == "ValueError"
-    assert "beyond the double range" in error["message"]
-
-
-@pytest.mark.parametrize("norm", ["inf", "nan", "0", "-1"])
-def test_theta_basis_norm_must_be_positive_and_finite(capsys, norm):
-    code, out, err = run_cli(capsys, "theta-basis", "--level", "2", "--norm", norm)
-    assert code == 2
-    assert out == ""
+def test_theta_basis_has_no_norm_flag(capsys):
+    code, out, err = run_cli(capsys, "theta-basis", "--level", "2", "--norm", "2")
+    assert (code, out) == (2, "")
     assert "--norm" in err
 
 
@@ -923,10 +905,13 @@ def test_writing_a_long_list_of_records_holds_about_one_block():
         np.array([[3 + 4j]]),
         # row j repeats every k/gcd(j, k) entries; the writer formats each repeating block once
         *(
-            pytest.param(bpu_matrix(k, tau=tau, norm=norm).entries, id=f"theta-k{k}-tau{tau}-norm{norm}")
+            pytest.param(entries, id=f"theta-k{k}-tau{tau}{name}")
             for k in (1, 2, 3, 64, 96, 97, 128, 200)
             for tau in (1j, 0.3 + 0.1j)
-            for norm in (1.0, 2.5)
+            for name, entries in (
+                ("", bpu_matrix(k, tau=tau).entries),
+                ("-times2.5", bpu_matrix(k, tau=tau).entries * 2.5),
+            )
         ),
         # equal as values, not as bits: period 2, not 1
         pytest.param(

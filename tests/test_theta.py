@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -167,7 +168,6 @@ def test_bpu_matrix_shape_and_metadata():
     assert m.k == 3
     assert m.tau == 1j
     assert m.eps == DEFAULT_EPS
-    assert m.norm_constant == 1.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8])
@@ -187,26 +187,6 @@ def test_bpu_matrix_nondegenerate_at_tau_i(k):
     assert smin > 1e-9
 
 
-def test_normalization_scales_matrix_linearly():
-    base = bpu_matrix(3)
-    scaled = bpu_matrix(3, norm=2.5)
-    assert np.allclose(scaled.entries, 2.5 * base.entries, rtol=0, atol=0)
-    assert scaled.norm_constant == 2.5
-    assert math.isclose(
-        scaled.smallest_singular_value(), 2.5 * base.smallest_singular_value(),
-        rel_tol=1e-12,
-    )
-    assert math.isclose(
-        abs(scaled.determinant()), 2.5**3 * abs(base.determinant()),
-        rel_tol=1e-12,
-    )
-
-
-def test_normalization_validation():
-    with pytest.raises(ValueError):
-        bpu_matrix(2, norm=-3.0)
-
-
 def dense_matrix(k, tau):
     """Every characteristic summed at every point: the k^2-sum reference."""
     return np.array(
@@ -217,8 +197,8 @@ def dense_matrix(k, tau):
 @pytest.mark.parametrize("tau", [1j, 0.3 + 0.1j, 0.3 + 1.1j])
 def test_bpu_matrix_equals_dense_evaluation(tau):
     for k in range(1, 13):
-        dense = 1.7 * dense_matrix(k, tau)
-        m = bpu_matrix(k, tau=tau, norm=1.7)
+        dense = dense_matrix(k, tau)
+        m = bpu_matrix(k, tau=tau)
         assert np.abs(m.entries - dense).max() <= 1e-13 * np.abs(dense).max(), k
         # the spectral quantities against dense linear algebra, test-only
         sigma = np.linalg.svd(dense, compute_uv=False)[-1]
@@ -270,8 +250,80 @@ def test_cli_theta_basis_spectrum_at_high_level(tmp_path, k):
         sigma = mpmath.sqrt(k) * min(moduli)
         det = mpmath.mpf(k) ** (mpmath.mpf(k) / 2) * mpmath.fprod(moduli)
         assert abs(mpmath.mpf(doc["smallest_singular_value"]) / sigma - 1) < 1e-6
-        assert isinstance(doc["det_modulus"], str)  # below the double range
+        # below the double range: written as decimal strings
+        assert isinstance(doc["smallest_singular_value"], str) == (k >= 960)
+        assert isinstance(doc["det_modulus"], str)
         assert abs(mpmath.mpf(doc["det_modulus"]) / det - 1) < 1e-6
+
+
+def test_cli_theta_basis_det_modulus_above_the_double_range():
+    # |det| = k^(k/2) prod |c_j| is near 4e338 here, beyond the largest double
+    import bsq.cli
+
+    k, tau = 400, mpmath.mpc(0.3, 0.01)
+    args = bsq.cli._build_parser().parse_args(["theta-basis", "--level", str(k), "--tau", "0.3,0.01"])
+    doc, code = args.handler(args)
+    assert code == 0
+    with mpmath.workprec(120):
+        moduli = [
+            abs(mpmath.fsum(mpmath.exp(mpmath.pi * 1j * k * tau * (n + mpmath.mpf(j) / k) ** 2) for n in range(-8, 9)))
+            for j in range(k)
+        ]
+        det = mpmath.mpf(k) ** (k // 2) * mpmath.fprod(moduli)
+        assert det > mpmath.mpf("1e338")
+        assert isinstance(doc["det_modulus"], str)
+        assert abs(mpmath.mpf(doc["det_modulus"]) / det - 1) < 1e-9
+        assert doc["smallest_singular_value"] == pytest.approx(float(mpmath.sqrt(k) * min(moduli)), rel=1e-12)
+
+
+# sha256 of the stdout of `bsq theta-basis` on these flags: the thirteen theta
+# bases of the benchmark's spectral workload, a level whose nulls are mostly
+# below the normal range (21 of them, 17 of those 0.0), and small levels at tau = i
+PINNED_THETA = {
+    ("--level", "8", "--tau", "0.3,0.1"): "528859dc2c7b37105c1075306cae8f7c1c6467463e394268cc856076844475e3",
+    ("--level", "16", "--tau", "0.3,0.1"): "2078f99dc808a49657a583e21f0e93de7bb35f44490be66f40433fcd2fa44855",
+    ("--level", "32", "--tau", "0.3,0.1"): "4247339306a4977ba7535bd770f92e0aab8575ee3e5acde9884ea768ef74ba57",
+    ("--level", "64", "--tau", "0.3,0.1"): "f564fa152f213b73720bfdca7354b1712412912ce95dcf2d7e28a4cda9b7b528",
+    ("--level", "96", "--tau", "0.3,0.1"): "488927ead361aa9f026445ec30180ff89ad5a189e8300bb075ec10dededff28d",
+    ("--level", "128", "--tau", "0.3,0.1"): "45b7637c5c6bfc42ad123b1dbea8337540904938a1dc530f3c703bd48031a2b7",
+    ("--level", "160", "--tau", "0.3,0.1"): "d0e569926cb765fbb4de32087a042786f7175ace7fbe05a152d40446a0948a3b",
+    ("--level", "200", "--tau", "0.3,0.1"): "a54805106412bb99ddf4d0910929a2a62467287ebbbfa9d8e369140634eb9383",
+    ("--level", "8", "--tau", "0,1"): "83760d04d0021b59f3a490c9a112d514271d7a383d69d4b4a84b0ff964894591",
+    ("--level", "16", "--tau", "0,1"): "bfc6ce30f46322b924422b5d7824c7dfb1bfec318c74d52097f707b27e08b805",
+    ("--level", "32", "--tau", "0,1"): "402d69b82f1c7d6ef67473a887c2158665dc530d91fdfe901e163f7383acc195",
+    ("--level", "64", "--tau", "0,1"): "1300d1e90e3b6ced3d1030e3458328f7f2d99f2f570abdb60d3a4c69e17e41a9",
+    ("--level", "96", "--tau", "0,1"): "d39fb0228f22273f19a9f9f5829801443d72290894419f1310a6c3b1a7277a0a",
+    ("--level", "128", "--tau", "0.1,10"): "5c9a64a08a1f39a9ef755ddc1970ec399125f9bf7582661eb7270209589e644b",
+    ("--level", "1", "--tau", "0,1"): "058924f3d31dae6eeba737ec7e619a2ef6a5f041e5423dc3406ca14099208ee3",
+    ("--level", "2", "--tau", "0,1"): "7ea3dca6a3eb25fd08b13b68cec47e1d8cd960ca36c7a28deb83cf6e2acfa0d9",
+    ("--level", "3", "--tau", "0,1"): "54c20aa8a85bd97d13a73c721e0de086a96e1a185ef359eb0177cba08d80c9b3",
+    ("--level", "97", "--tau", "0,1"): "a456f8309c3ea560397c20b07666ffaf03bccea1036f7f7ca1b39839ba55f9cd",
+}
+
+
+@pytest.mark.parametrize("flags", PINNED_THETA, ids=" ".join)
+def test_theta_documents_are_pinned_bit_for_bit(capsys, flags):
+    from bsq.cli import main
+
+    assert main(["theta-basis", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_THETA[flags]
+
+
+def test_a_cancelling_theta_basis_is_pinned(capsys):
+    from bsq import __version__
+    from bsq.cli import main
+
+    assert main(["theta-basis", "--level", "8", "--tau", "0.5,0.001"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "CancellationFailure",
+        "message": "the sum S_1 of theta-null c_1 cancels to |S_1| = 3.98e-14, within its rounding bound 2.09e-11 "
+                   "(k=8, tau=(0.5+0.001j)); 4 of the 8 nulls are uncertain",
+        "subcommand": "theta-basis",
+        "tool_version": __version__,
+    }
+    assert err.endswith("}\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 0.1j])
@@ -284,29 +336,9 @@ def test_theta_rows_repeat_bit_for_bit(k, tau):
     assert m.nulls[1:].tobytes() == m.nulls[:0:-1].tobytes()
 
 
-def test_subnormal_norm_shifts_the_log_determinant():
-    # the entries are subnormal doubles; the logarithms carry ln(norm) exactly
-    base = bpu_matrix(3)
-    tiny = bpu_matrix(3, norm=1e-310)
-    assert 0 < np.abs(tiny.entries).max() < 2.3e-308
-    shift = tiny.log_abs_determinant() - base.log_abs_determinant()
-    assert math.isclose(shift, 3 * math.log(1e-310), rel_tol=1e-15)
-    assert math.isclose(
-        tiny.log_smallest_singular_value() - base.log_smallest_singular_value(), math.log(1e-310), rel_tol=1e-15
-    )
-
-
 def test_log_smallest_singular_value():
     m = bpu_matrix(16, tau=0.3 + 0.1j)
     assert math.isclose(m.log_smallest_singular_value(), math.log(m.smallest_singular_value()), rel_tol=1e-14)
-
-
-def test_huge_norm_restores_rows_whose_null_underflows():
-    # at tau = i and k = 960 five |c_j| round to 0.0 and more are subnormal;
-    # times norm = 1e300 every row is a normal double with full precision
-    m = bpu_matrix(960, norm=1e300)
-    assert np.allclose(np.log(np.abs(m.nulls)), m.log_moduli, rtol=0, atol=1e-12)
-    assert np.allclose(np.abs(m.entries), np.abs(m.nulls)[:, None], rtol=1e-12, atol=0)
 
 
 def test_subnormal_eps_gives_a_finite_window():
@@ -324,9 +356,9 @@ def test_subnormal_eps_gives_a_finite_window():
     assert np.allclose(m.entries, bpu_matrix(3).entries, rtol=1e-12, atol=0)
 
 
-def _entries_from_the_whole_dft(k, tau, norm):
+def _entries_from_the_whole_dft(k, tau):
     """The entries from the whole k x k DFT matrix at once, the product of the
-    nulls and F then multiplied by norm in place."""
+    nulls and F."""
     j = np.arange(k)
     m0 = j - k * (2 * j >= k)
     phase = 1j * math.pi * tau
@@ -336,38 +368,14 @@ def _entries_from_the_whole_dft(k, tau, norm):
     centre = phase * (m0 * m0) / k
     nulls = np.exp(centre) * sums
     dft = np.exp(2j * np.pi * j / k)[np.outer(j, j) % k]
-    low = np.abs(nulls) < sys.float_info.min
-    with np.errstate(over="ignore"):
-        entries = nulls[:, None] * dft
-        entries *= norm
-        entries[low] = (np.exp(math.log(norm) + centre[low]) * sums[low])[:, None] * dft[low]
-    return entries
+    return nulls[:, None] * dft
 
 
 @pytest.mark.parametrize("k", [*range(1, 41), 97, 128, 200, 401, 961])
 def test_entries_made_in_blocks_of_rows_equal_the_whole_dft_bit_for_bit(k):
-    # extreme norms included: an underflowed zero keeps its sign
+    # at k = 961 and tau = i some nulls are subnormal or 0.0; their rows too are the product, bit for bit
     for tau in (1j, 0.3 + 0.1j):
-        for norm in (1.0, 2.5, 1e-300, 1e300):
-            expected = _entries_from_the_whole_dft(k, tau, norm)
-            if not np.isfinite(expected).all():
-                with pytest.raises(ValueError, match="beyond the double range"):
-                    bpu_matrix(k, tau=tau, norm=norm)
-                continue
-            assert bpu_matrix(k, tau=tau, norm=norm).entries.tobytes() == expected.tobytes(), (tau, norm)
-
-
-@pytest.mark.parametrize("k", [64, 128])
-def test_an_underflowed_entry_takes_the_sign_of_the_product_times_norm(k):
-    # (a + bi) * norm and norm * (a + bi) give zeros of opposite sign where the
-    # entries underflow; the entries are the product times norm, whether or not
-    # numpy reuses the product's buffer, which it does from 256 KiB (k = 128) on
-    tau, norm = 0.1 + 2.5j, 1e-300
-    unscaled = bpu_matrix(k, tau=tau).entries
-    expected, other = unscaled * norm, norm * unscaled
-    e, o = expected.view(float), other.view(float)
-    assert ((e == 0) & (o == 0) & (np.signbit(e) != np.signbit(o))).any()
-    assert bpu_matrix(k, tau=tau, norm=norm).entries.tobytes() == expected.tobytes()
+        assert bpu_matrix(k, tau=tau).entries.tobytes() == _entries_from_the_whole_dft(k, tau).tobytes(), tau
 
 
 def test_nulls_that_cancel_within_their_rounding_bound_raise():
@@ -430,7 +438,7 @@ def test_the_sizes_of_the_sums_are_summed_with_them(monkeypatch, tau):
 
 
 def test_bpu_matrix_holds_little_beside_its_entries():
-    # no k x k temporary: F, its indices and the low rows are made a block of rows at a time
+    # no k x k temporary: F and its indices are made a block of rows at a time
     bpu_matrix(8)
     tracemalloc.start()
     try:
